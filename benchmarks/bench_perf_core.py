@@ -134,7 +134,6 @@ def run_kilo(repeats: int, size: int = KILO_SIZE) -> dict:
     row = {
         "program": KILO_PROGRAM,
         "size": size,
-        "scheduler": os.environ.get("ATS_SCHEDULER", "calendar"),
         "wall_s": round(best, 6),
         "events": events,
         "events_per_s": round(events / best) if best else 0,

@@ -1876,12 +1876,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    from .resilience import CheckpointError
     from .simkernel import DeadlockError, HangError
 
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
+    except (CliError, CheckpointError) as exc:
         print(f"ats: error: {exc}", file=sys.stderr)
         return 2
     except (DeadlockError, HangError) as exc:

@@ -12,9 +12,12 @@ Three cooperating pieces:
 * the :class:`CheckpointJournal` makes completed cells durable so an
   interrupted sweep resumes instead of restarting.
 
-:func:`run_cells_forked` (:mod:`repro.resilience.forked`) lifts the
-whole cell lifecycle onto the fork-per-cell executor for true multicore
-sweeps with identical journals and artifacts.
+:func:`run_cells` (:mod:`repro.resilience.sweep`) is the one loop over
+sweep cells that the validation matrix, the robustness grid and
+synthesis campaigns share.  With ``workers > 1`` it hands the cells to
+:func:`run_cells_forked` (:mod:`repro.resilience.forked`), which runs
+the same lifecycle on the fork-per-cell executor with identical
+journals and artifacts.
 """
 
 from .checkpoint import (
@@ -23,6 +26,7 @@ from .checkpoint import (
     coerce_journal,
 )
 from .forked import run_cells_forked
+from .sweep import run_cells
 from .supervisor import (
     FAILURE_KINDS,
     PROGRESS_EVENTS,
@@ -46,5 +50,6 @@ __all__ = [
     "Supervisor",
     "classify_failure",
     "coerce_journal",
+    "run_cells",
     "run_cells_forked",
 ]

@@ -5,6 +5,8 @@ finishes, so a killed sweep loses at most the cell that was in flight.
 The format is deliberately dumb:
 
 * line 1 -- a header record ``{"format": "ats-checkpoint", ...}``,
+  with the digest of the sweep settings when the sweep bound one
+  (:meth:`CheckpointJournal.bind_settings`),
 * every further line -- ``{"key": <cell key>, "payload": {...}}``.
 
 ``load()`` tolerates exactly the corruption a kill can produce: a
@@ -16,6 +18,7 @@ supersedes its earlier outcome.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import sys
@@ -38,7 +41,8 @@ def _chaos_injector():
 
 
 class CheckpointError(Exception):
-    """The journal is corrupt beyond the tolerated partial tail."""
+    """The journal is corrupt beyond the tolerated partial tail, or was
+    written under other sweep settings than the ones resuming it."""
 
 
 class CheckpointJournal:
@@ -66,6 +70,10 @@ class CheckpointJournal:
         #: set when a failed append could not be rolled back; further
         #: appends would corrupt the file mid-stream, so they refuse.
         self._broken = False
+        #: digest of the sweep settings the journaled cells were
+        #: computed under: read from the header by :meth:`load`,
+        #: written into a fresh header (see :meth:`bind_settings`).
+        self.settings: Optional[str] = None
 
     # ------------------------------------------------------------------
     # reading (resume)
@@ -100,6 +108,7 @@ class CheckpointJournal:
             raise CheckpointError(
                 f"{self.path}: not an {self.fmt} journal"
             )
+        self.settings = header.get("settings")
         done: Dict[str, dict] = {}
         last = len(lines) - 1
         for lineno, line in enumerate(lines[1:], start=2):
@@ -132,12 +141,34 @@ class CheckpointJournal:
             fresh = not self.path.exists() or self.path.stat().st_size == 0
             self._fh = open(self.path, "a", encoding="utf-8")
             if fresh:
-                self._fh.write(
-                    json.dumps({"format": self.fmt, "version": _VERSION})
-                    + "\n"
-                )
+                header = {"format": self.fmt, "version": _VERSION}
+                if self.settings is not None:
+                    header["settings"] = self.settings
+                self._fh.write(json.dumps(header) + "\n")
                 self._fh.flush()
         return self._fh
+
+    def bind_settings(self, settings: dict) -> None:
+        """Tie the journal to the settings of the sweep using it.
+
+        ``settings`` (JSON-able) holds what changes a cell's result but
+        not its key: cell keys name only what varies between a sweep's
+        cells, so a journal resumed under, say, another program size
+        would replay cells computed at the old one.  A journal whose
+        header (read by :meth:`load`) records a different digest of
+        them therefore refuses with :class:`CheckpointError`; a fresh
+        journal writes the digest into its header.  Journals written
+        before headers carried a digest still resume.
+        """
+        text = json.dumps(settings, sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+        if self.settings is not None and self.settings != digest:
+            raise CheckpointError(
+                f"{self.path}: checkpoint was written under other sweep "
+                "settings; resume with the original settings or start "
+                "a fresh checkpoint"
+            )
+        self.settings = digest
 
     def _heal_partial_tail(self) -> None:
         """Cut an interrupted final write before appending after it.

@@ -12,16 +12,16 @@ Division of labour:
 * the **child** runs the cell callable, classifies any exception with
   the same :func:`classify_failure` taxonomy the serial path uses
   (structured watchdog reports ride along), and ships a JSON envelope;
-* the **parent** merges each child's obs-metrics delta, journals the
-  outcome the moment the child completes (so a killed sweep resumes
-  from real progress), decides retries, and assembles results in
-  submission order.
+* the **parent** merges each child's obs-metrics delta, decides
+  retries, and resolves outcomes in cell order: a cell is journaled
+  (and its deferred archive records replayed) once every earlier cell
+  has resolved.
 
-Because the journal payloads are identical to the serial path's, a
-sweep checkpointed under ``--workers N`` can resume serially and vice
-versa; and because results are ordered by submission, the final
-artifact is byte-identical to a serial run regardless of completion
-order.  Timeouts are *stronger* here than in serial supervision: the
+Because records are journaled in cell order with the serial path's
+payloads, the journal and archive manifest are byte-identical to a
+serial sweep's regardless of completion order, and a sweep
+checkpointed under ``--workers N`` can resume serially and vice
+versa.  Timeouts are *stronger* here than in serial supervision: the
 child is ``SIGKILL``\\ ed, reclaiming the CPU a stuck cell was burning,
 where the serial path can only abandon the stuck thread.
 """
@@ -114,61 +114,71 @@ def run_cells_forked(
     on_extras: Optional[Callable[[str, Any], None]] = None,
     echo_output: bool = True,
 ) -> List[CellOutcome]:
-    """Run ``(key, fn)`` cells in forked children; submission-order results.
+    """Run ``(key, fn)`` cells in forked children; cell-order results.
 
     Cell callables must return JSON-serializable values (they cross a
-    pipe).  With a ``supervisor``, journaled cells are replayed instead
-    of re-run, fresh outcomes are journaled as each child completes,
-    transient failures are retried with the supervisor's deterministic
-    backoff, and persistent ones are quarantined -- all with the exact
-    payloads the serial path writes.  Without one, cells run once with
-    no timeout and failures simply come back as failed outcomes.
+    pipe); ``decode`` turns each value, fresh or replayed, into the
+    returned outcome's value.  Journaled cells are replayed instead of
+    re-run, transient failures are retried with the supervisor's
+    deterministic backoff, and persistent ones are quarantined -- all
+    with the exact payloads the serial path writes.  A missing
+    ``supervisor`` becomes a default :class:`Supervisor`.
 
-    ``extras_fn`` runs inside each child after its cell;
-    ``on_extras(key, value)`` receives what it returned, in the parent,
-    as each child completes (deferred archive-manifest replay uses
-    this).  ``echo_output`` re-emits each child's captured stdout+stderr
-    on the parent's stdout in completion order.
+    Outcomes resolve in cell order, never completion order: once every
+    earlier cell has resolved, a cell's ``on_extras(key, value)``
+    calls run -- one per attempt, with what ``extras_fn`` returned in
+    that attempt's child (deferred archive-manifest records) -- and
+    then the cell is journaled.  So the journal and the archive
+    manifest match a serial sweep's byte for byte.  ``echo_output``
+    re-emits each child's captured stdout+stderr on the parent's
+    stdout as it completes.
     """
     cells = list(cells)
-    results: dict = {}
-    pending: List[Tuple[str, Callable[[], Any], int]] = []
-    for key, fn in cells:
-        if supervisor is not None:
-            cached = supervisor.replay(key, decode)
-            if cached is not None:
-                results[key] = cached
-                continue
-        pending.append((key, fn, 1))
+    if supervisor is None:
+        supervisor = Supervisor()
+    done: List[Optional[CellOutcome]] = [None] * len(cells)
+    extras: List[list] = [[] for _ in cells]
+    pending: List[Tuple[int, Callable[[], Any], int]] = []
+    for index, (key, fn) in enumerate(cells):
+        done[index] = supervisor.replay(key, decode)
+        if done[index] is None:
+            pending.append((index, fn, 1))
+    metrics = supervisor._metrics
+    resolved = 0
 
-    timeout = supervisor.timeout if supervisor is not None else None
-    retries = supervisor.retries if supervisor is not None else 0
-    transient = supervisor.transient if supervisor is not None else ()
-    metrics = supervisor._metrics if supervisor is not None else None
+    def resolve_in_order() -> None:
+        nonlocal resolved
+        while resolved < len(cells) and done[resolved] is not None:
+            outcome = done[resolved]
+            if not outcome.from_checkpoint:
+                for value in extras[resolved]:
+                    on_extras(outcome.key, value)
+                supervisor.finalize(outcome)
+                if outcome.ok and decode is not None:
+                    outcome.value = decode(outcome.value)
+            resolved += 1
 
     while pending:
         batch = pending
         pending = []
         retry_delay = 0.0
 
-        def handle(index: int, out, batch=batch) -> None:
+        def handle(position: int, out, batch=batch) -> None:
             nonlocal retry_delay
-            key, fn, attempt = batch[index]
-            if out is None:  # pragma: no cover - defensive
-                return
+            index, fn, attempt = batch[position]
+            key = cells[index][0]
             merge_state(out.metrics)
             if echo_output and out.output:
                 sys.stdout.write(out.output)
             if out.extras is not None and on_extras is not None:
-                on_extras(key, out.extras)
+                extras[index].append(out.extras)
             if out.status == "timeout" and metrics is not None:
                 metrics.timeouts.inc()
-            outcome = _to_outcome(key, attempt, out, timeout)
+            outcome = _to_outcome(key, attempt, out, supervisor.timeout)
             if (
                 not outcome.ok
-                and supervisor is not None
-                and outcome.failure.kind in transient
-                and attempt <= retries
+                and outcome.failure.kind in supervisor.transient
+                and attempt <= supervisor.retries
             ):
                 delay = supervisor.backoff_delay(key, attempt)
                 if metrics is not None:
@@ -179,25 +189,23 @@ def run_cells_forked(
                     kind=outcome.failure.kind, delay=delay,
                 )
                 retry_delay = max(retry_delay, delay)
-                pending.append((key, fn, attempt + 1))
+                pending.append((index, fn, attempt + 1))
                 return
-            if supervisor is not None:
-                supervisor.finalize(outcome)
-            results[key] = outcome
+            done[index] = outcome
+            resolve_in_order()
 
-        if supervisor is not None:
-            for key, _fn, attempt in batch:
-                supervisor._emit("cell-started", key, attempt=attempt)
+        for index, _fn, attempt in batch:
+            supervisor._emit("cell-started", cells[index][0], attempt=attempt)
         run_forked_tasks(
-            [_child_cell(fn) for _key, fn, _attempt in batch],
+            [_child_cell(fn) for _index, fn, _attempt in batch],
             workers=workers,
-            timeout=timeout,
+            timeout=supervisor.timeout,
             extras_fn=extras_fn,
             on_outcome=handle,
         )
-        if pending and retry_delay > 0.0 and supervisor is not None:
+        if pending and retry_delay > 0.0:
             # One consolidated pause covering the round's longest
             # backoff; per-cell delays still feed the metrics above.
             supervisor._sleep(retry_delay)
 
-    return [results[key] for key, _fn in cells]
+    return done

@@ -1,29 +1,23 @@
-"""Pending-event queues for the scheduler: calendar buckets vs heap.
+"""The scheduler's pending-event queue: calendar buckets.
 
-The scheduler orders future events by ``(time, seq)``.  Two
-interchangeable implementations live here:
+The scheduler orders future events by ``(time, seq)``.
+:class:`CalendarEventQueue` is a timestamp-radix bucketed queue.
+Events are grouped into per-timestamp *buckets* (slab-allocated flat
+``[head, seq0, proc0, seq1, proc1, ...]`` records, recycled through a
+free pool so steady-state scheduling allocates no fresh lists), and a
+min-heap orders only the *distinct* timestamps.  SPMD programs are
+massively time-degenerate -- a barrier or a uniform ``hold`` schedules
+every rank for the same instant -- so the heap stays tiny while
+buckets absorb the volume: pushing the 1024th rank into an existing
+bucket is one dict hit and two appends, not an O(log n)
+tuple-comparison sift.  :meth:`transfer` hands a whole bucket to the
+scheduler's FIFO run queue in one call (batched dispatch): one heap pop
+amortized over every same-time event.
 
-* :class:`CalendarEventQueue` (the default) -- a timestamp-radix
-  bucketed queue.  Events are grouped into per-timestamp *buckets*
-  (slab-allocated flat ``[head, seq0, proc0, seq1, proc1, ...]``
-  records, recycled through a free pool so steady-state scheduling
-  allocates no fresh lists), and a min-heap orders only the *distinct*
-  timestamps.  SPMD programs are massively time-degenerate -- a barrier
-  or a uniform ``hold`` schedules every rank for the same instant -- so
-  the heap stays tiny while buckets absorb the volume: pushing the
-  1024th rank into an existing bucket is one dict hit and two appends,
-  not an O(log n) tuple-comparison sift.  :meth:`transfer` hands a
-  whole bucket to the scheduler's FIFO run queue in one call (batched
-  dispatch): one heap pop amortized over every same-time event.
-* :class:`HeapEventQueue` -- the classic single ``heapq`` of
-  ``(time, seq, proc)`` tuples the kernel used before.  Kept as the
-  reference implementation for the ordering-equivalence property tests
-  and as a fallback (``ATS_SCHEDULER=heap``).
-
-Both serve events in exactly ``(time, seq)`` order, so traces are
-bit-identical per seed whichever queue a simulator uses.  Within one
-bucket no explicit sort ever runs: sequence numbers only grow, so
-append order *is* ``seq`` order.
+Events are served in exactly ``(time, seq)`` order; the test suite
+checks this against a single-``heapq`` reference queue, service order
+and whole traces alike.  Within one bucket no explicit sort ever runs:
+sequence numbers only grow, so append order *is* ``seq`` order.
 
 A note on numpy: the bucket design was benchmarked against a
 numpy-backed timestamp-array variant; per-event ndarray indexing costs
@@ -35,15 +29,10 @@ The batching win lives in :meth:`transfer` instead.
 
 from __future__ import annotations
 
-import os
 from heapq import heappop, heappush
 from typing import Optional, Tuple
 
-__all__ = [
-    "CalendarEventQueue",
-    "HeapEventQueue",
-    "default_queue_class",
-]
+__all__ = ["CalendarEventQueue"]
 
 #: retired bucket slabs kept for reuse per queue
 _POOL_LIMIT = 256
@@ -139,67 +128,3 @@ class CalendarEventQueue:
             bucket.clear()
             bucket.append(1)
             pool.append(bucket)
-
-
-class HeapEventQueue:
-    """The classic single-heap queue (reference / fallback)."""
-
-    __slots__ = ("_heap",)
-
-    def __init__(self) -> None:
-        self._heap: list[Tuple[float, int, object]] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def distinct_times(self) -> int:
-        return len({entry[0] for entry in self._heap})
-
-    def push(self, at: float, seq: int, proc) -> None:
-        heappush(self._heap, (at, seq, proc))
-
-    def head(self) -> Optional[Tuple[float, int]]:
-        if not self._heap:
-            return None
-        entry = self._heap[0]
-        return entry[0], entry[1]
-
-    def pop(self) -> Tuple[float, int, object]:
-        return heappop(self._heap)
-
-    def transfer(self, ready) -> float:
-        """Move every entry sharing the earliest timestamp onto ``ready``.
-
-        Same-time heap entries pop in seq order, so this produces the
-        exact tuple sequence :meth:`CalendarEventQueue.transfer` does.
-        """
-        heap = self._heap
-        entry = heappop(heap)
-        at = entry[0]
-        ready.append(entry)
-        while heap and heap[0][0] == at:
-            ready.append(heappop(heap))
-        return at
-
-
-_QUEUE_CLASSES = {
-    "calendar": CalendarEventQueue,
-    "heap": HeapEventQueue,
-}
-
-
-def default_queue_class():
-    """The event-queue class selected by ``ATS_SCHEDULER``.
-
-    ``calendar`` (the default) is the bucketed scheduler; ``heap`` is
-    the reference single-heap implementation.
-    """
-    name = os.environ.get("ATS_SCHEDULER", "calendar").strip().lower()
-    try:
-        return _QUEUE_CLASSES[name or "calendar"]
-    except KeyError:
-        raise ValueError(
-            f"unknown ATS_SCHEDULER value {name!r}; "
-            f"choose from {sorted(_QUEUE_CLASSES)}"
-        ) from None

@@ -30,9 +30,6 @@ Three fast paths keep dispatching cheap at scale:
   batched step instead of popping a heap once per rank,
 * blocked-reason strings are stored lazily (see
   :meth:`SimProcess.waiting_reason`), so no f-string is built per hold.
-
-``ATS_SCHEDULER=heap`` falls back to the single-heap pending queue;
-both implementations serve the identical ``(time, seq)`` order.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ from collections import deque
 from typing import Any, Callable, Optional
 
 from ..obs.instruments import kernel_metrics
-from .eventq import default_queue_class
+from .eventq import CalendarEventQueue
 from .errors import (
     DeadlockError,
     HangError,
@@ -81,9 +78,8 @@ class Simulator:
         #: property: it is read on every scheduling call and every
         #: recorded event, where descriptor dispatch is measurable.
         self.now = 0.0
-        #: pending *future* events, ordered by (time, seq); a calendar
-        #: bucket queue by default, a plain heap with ATS_SCHEDULER=heap
-        self._eventq = default_queue_class()()
+        #: pending *future* events, ordered by (time, seq)
+        self._eventq = CalendarEventQueue()
         #: same-timestamp FIFO run queue (the queue-bypass fast path);
         #: also receives whole buckets via batched transfer
         self._ready: deque[tuple[float, int, SimProcess]] = deque()

@@ -1,13 +1,14 @@
-"""Campaign execution on the supervised sweep engine.
+"""Campaign execution on the shared sweep engine.
 
-Each scenario cell runs the same pipeline as the robustness harness: a
-seed-deterministic simulated run under the scaled noise plan, an
-optional trace-fault round trip through the salvaging reader, analysis,
-and a verdict against the scenario's ground-truth manifest.  Cells run
-serially, under a :class:`repro.resilience.Supervisor` (wall-clock
-timeout / retry / quarantine / checkpoint resume), or fanned out over
-forked workers -- results are assembled in scenario order, so the
-campaign JSON is byte-identical across all three modes.
+Each scenario cell runs :func:`run_noisy_cell`, the pipeline the
+robustness grid shares: a seed-deterministic simulated run under the
+scaled noise plan, an optional trace-fault round trip through the
+salvaging reader, archiving and analysis -- then a verdict against the
+scenario's ground-truth manifest.  :func:`repro.resilience.run_cells`
+resolves the cells under a supervisor (wall-clock timeout / retry /
+quarantine / checkpoint resume), serially or over forked workers;
+results come back in scenario order, so the campaign JSON is
+byte-identical across all modes.
 
 The adversarial strategy loops here: after the base sample, each
 refinement round ranks cells by disagreement (missing + spurious
@@ -20,11 +21,14 @@ from __future__ import annotations
 import json
 import tempfile
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from ..analysis import AnalysisConfig, analyze_events, analyze_run
-from ..faults import FaultInjector
+from ..core.registry import PropertySpec
+from ..faults import FaultInjector, FaultPlan
+from ..resilience import run_cells
 from ..trace.io import read_trace, write_trace
 from .generate import adversarial_rng, generate_scenarios, mutate_scenario
 from .scenario import GroundTruthManifest, Scenario
@@ -142,151 +146,105 @@ def cell_key(scenario: Scenario) -> str:
     )
 
 
-def _run_scenario_checked(
-    scenario: Scenario,
-    spec: CampaignSpec,
+def run_noisy_cell(
+    pspec: PropertySpec,
+    size: int,
+    threads: int,
+    seed: int,
+    plan: FaultPlan,
+    magnitude: float,
     threshold: float,
+    families: Tuple[str, ...],
     workdir: Path,
     time_budget: Optional[float] = None,
     archive=None,
-    families: Tuple[str, ...] = ("rule",),
-) -> ScenarioCell:
-    """One cell, raising on failure (the supervisor's entry point).
+    manifest: Optional[dict] = None,
+) -> Tuple[Tuple[str, ...], int, bool, Optional[str]]:
+    """One sweep cell: simulate, round-trip the trace, archive, analyze.
 
-    Mirrors the robustness pipeline; additionally the archived record
-    carries the scenario's ground-truth manifest, so ``ats diff`` and
-    the scorer can grade detectors against synthesized truth straight
-    from the archive.
+    Runs ``pspec`` under ``plan`` scaled to ``magnitude``.  When the
+    scaled plan carries trace faults, the trace round-trips through
+    the fault-injecting writer and the salvaging reader, so the
+    analyzer sees what landed on disk.  With an ``archive``, the
+    analyzed events are recorded under the scaled plan, with the
+    ground-truth ``manifest`` when there is one.
+
+    Returns ``(detected, events, salvaged, run_id)``: the property ids
+    found at ``threshold`` by the ``families`` battery, the number of
+    analyzed events, whether the reader salvaged a truncated trace,
+    and the archive run id (None without an archive).  Failures raise
+    -- a deadlock or hang with its structured report intact -- for
+    the supervisor to classify.
+
+    Campaign and robustness cells both run here, and the trace I/O and
+    analysis functions are called through this module's globals,
+    where perfbench's layer probes wrap them.
     """
+    from ..archive import params_to_jsonable
     from ..stats import battery_for
 
     detectors = battery_for(families)
-    pspec = scenario.build_spec()
-    manifest = scenario.manifest()
-    manifest.validate()
-    scaled = spec.noise.plan.scaled(scenario.noise_magnitude)
-    injector = FaultInjector.coerce(scaled, seed=scenario.seed)
-
-    def _archive(events, final_time, transport) -> Optional[str]:
-        if archive is None:
-            return None
-        record = archive.record(
-            program=scenario.name,
-            events=events,
-            final_time=final_time,
-            paradigm=pspec.paradigm,
-            params={},
-            size=scenario.size,
-            threads=scenario.threads,
-            seed=scenario.seed,
-            plan=dict(
-                scaled.to_dict(), magnitude=scenario.noise_magnitude
-            ),
-            eager_threshold=(
-                transport.eager_threshold
-                if transport is not None
-                else None
-            ),
-            manifest=manifest.to_dict(),
-        )
-        return record.run_id
-
+    scaled = plan.scaled(magnitude)
+    injector = FaultInjector.coerce(scaled, seed=seed)
     run = pspec.run(
-        size=scenario.size,
-        num_threads=scenario.threads,
-        seed=scenario.seed,
+        size=size,
+        num_threads=threads,
+        seed=seed,
         faults=injector,
         time_budget=time_budget,
     )
     transport = getattr(run, "transport", None)
-    if injector is None or not injector.has_trace_faults:
-        run_id = _archive(run.events, run.final_time, transport)
-        analysis = analyze_run(run, detectors=detectors)
-        return _build_cell(
-            scenario,
-            detected=analysis.detected(threshold),
-            events=len(run.events),
-            run_id=run_id,
-            families=families,
+    faulty = injector is not None and injector.has_trace_faults
+    events, salvaged = run.events, False
+    if faulty:
+        # named by the cell's key fields (scenario names carry a
+        # ``/``), so concurrent forked cells never share a file
+        path = workdir / (
+            f"{pspec.name.replace('/', '-')}-m{magnitude:g}-s{seed}"
+            ".trace.jsonl"
         )
-    # Trace faults: round-trip through the fault-injecting writer and
-    # the salvaging reader -- the analyzer sees what landed on disk.
-    path = workdir / (
-        f"synth-{scenario.index:05d}-s{scenario.seed}.trace.jsonl"
-    )
-    write_trace(
-        path,
-        run.events,
-        metadata={"program": scenario.name, "seed": scenario.seed},
-        faults=injector,
-    )
-    events, metadata = read_trace(path, skip_bad_lines=True, salvage=True)
-    run_id = _archive(events, run.final_time, transport)
-    config = (
-        AnalysisConfig(eager_threshold=transport.eager_threshold)
-        if transport is not None
-        else None
-    )
-    analysis = analyze_events(
-        events,
-        total_time=run.final_time,
-        config=config,
-        detectors=detectors,
-    )
-    return _build_cell(
-        scenario,
-        detected=analysis.detected(threshold),
-        events=len(events),
-        run_id=run_id,
-        salvaged=bool(metadata.get("truncated")),
-        families=families,
-    )
-
-
-def _run_scenario(
-    scenario: Scenario,
-    spec: CampaignSpec,
-    threshold: float,
-    workdir: Path,
-    time_budget: Optional[float] = None,
-    archive=None,
-    families: Tuple[str, ...] = ("rule",),
-) -> ScenarioCell:
-    """One cell with failures folded into the cell (direct mode)."""
-    try:
-        return _run_scenario_checked(
-            scenario,
-            spec,
-            threshold,
-            workdir,
-            time_budget,
-            archive,
-            families,
+        write_trace(
+            path,
+            run.events,
+            metadata={"program": pspec.name, "seed": seed},
+            faults=injector,
         )
-    except Exception as exc:
-        return _build_cell(
-            scenario,
-            error=f"{type(exc).__name__}: {exc}",
-            families=families,
+        events, metadata = read_trace(
+            path, skip_bad_lines=True, salvage=True
         )
-
-
-def _forked_cell(
-    runner,
-    scenario: Scenario,
-    spec: CampaignSpec,
-    threshold: float,
-    workdir: Path,
-    time_budget: Optional[float],
-    archive,
-    families: Tuple[str, ...],
-) -> dict:
-    """Child-side cell body (deferred archive manifests, dict result)."""
+        salvaged = bool(metadata.get("truncated"))
+    run_id = None
     if archive is not None:
-        archive.store.begin_deferred()
-    return runner(
-        scenario, spec, threshold, workdir, time_budget, archive, families
-    ).to_dict()
+        run_id = archive.record(
+            program=pspec.name,
+            events=events,
+            final_time=run.final_time,
+            paradigm=pspec.paradigm,
+            params=params_to_jsonable(pspec.default_params),
+            size=size,
+            threads=threads,
+            seed=seed,
+            plan=dict(scaled.to_dict(), magnitude=magnitude),
+            eager_threshold=(
+                transport.eager_threshold if transport is not None else None
+            ),
+            manifest=manifest,
+        ).run_id
+    if not faulty:
+        analysis = analyze_run(run, detectors=detectors)
+    else:
+        config = (
+            AnalysisConfig(eager_threshold=transport.eager_threshold)
+            if transport is not None
+            else None
+        )
+        analysis = analyze_events(
+            events,
+            total_time=run.final_time,
+            config=config,
+            detectors=detectors,
+        )
+    return analysis.detected(threshold), len(events), salvaged, run_id
 
 
 @dataclass
@@ -338,116 +296,6 @@ class CampaignResult:
         return "\n".join(lines) + "\n"
 
 
-def _execute_batch(
-    scenarios: Sequence[Scenario],
-    spec: CampaignSpec,
-    threshold: float,
-    workdir: Path,
-    time_budget: Optional[float],
-    supervisor,
-    archive,
-    workers: int,
-    families: Tuple[str, ...] = ("rule",),
-) -> List[ScenarioCell]:
-    """Run one batch of scenarios in scenario order."""
-    if workers > 1:
-        from ..resilience.forked import run_cells_forked
-
-        runner = (
-            _run_scenario_checked
-            if supervisor is not None
-            else _run_scenario
-        )
-        cells = [
-            (
-                cell_key(sc),
-                lambda sc=sc: _forked_cell(
-                    runner,
-                    sc,
-                    spec,
-                    threshold,
-                    workdir,
-                    time_budget,
-                    archive,
-                    families,
-                ),
-            )
-            for sc in scenarios
-        ]
-        extras_fn = None
-        on_extras = None
-        if archive is not None:
-            extras_fn = archive.store.drain_deferred
-
-            def on_extras(key, records):
-                for run_id, payload in records:
-                    archive.store.record_run(run_id, payload)
-
-        outcomes = run_cells_forked(
-            cells,
-            workers=workers,
-            supervisor=supervisor,
-            extras_fn=extras_fn,
-            on_extras=on_extras,
-        )
-        out = []
-        for scenario, outcome in zip(scenarios, outcomes):
-            if outcome.ok:
-                value = outcome.value
-                if not isinstance(value, ScenarioCell):
-                    value = ScenarioCell.from_dict(value)
-                out.append(value)
-            else:
-                out.append(
-                    _build_cell(
-                        scenario,
-                        error=outcome.failure.error,
-                        families=families,
-                    )
-                )
-        return out
-    out = []
-    for scenario in scenarios:
-        if supervisor is None:
-            out.append(
-                _run_scenario(
-                    scenario,
-                    spec,
-                    threshold,
-                    workdir,
-                    time_budget,
-                    archive,
-                    families,
-                )
-            )
-            continue
-        outcome = supervisor.run_cell(
-            cell_key(scenario),
-            lambda sc=scenario: _run_scenario_checked(
-                sc,
-                spec,
-                threshold,
-                workdir,
-                time_budget,
-                archive,
-                families,
-            ),
-            encode=lambda c: c.to_dict(),
-            decode=ScenarioCell.from_dict,
-        )
-        if outcome.ok:
-            out.append(outcome.value)
-        else:
-            out.append(
-                _build_cell(
-                    scenario,
-                    error=outcome.failure.error,
-                    families=families,
-                )
-            )
-    return out
-
-
 def run_campaign(
     spec: CampaignSpec,
     threshold: float = 0.01,
@@ -460,11 +308,14 @@ def run_campaign(
     """Execute one synthesis campaign (see module docstring).
 
     ``supervisor`` runs every cell supervised (build it with
-    ``retries=spec.max_retries`` to honor the spec); ``archive``
+    ``retries=spec.max_retries`` to honor the spec; without one, a
+    default supervisor turns failures into error cells); ``archive``
     records every analyzed trace with its ground-truth manifest
     attached; ``workers > 1`` forks the batch over child processes.
     The result (and its JSON) is byte-identical across all execution
-    modes and across checkpoint resume.
+    modes and across checkpoint resume.  A checkpoint written under
+    another spec, threshold, families or time budget refuses to resume
+    (:class:`repro.resilience.CheckpointError`).
 
     ``spec.max_failures >= 0`` aborts the campaign with a
     :class:`CampaignError` (carrying the partial result) once more
@@ -475,8 +326,6 @@ def run_campaign(
     cells are graded through the class taxonomy and the scorer reports
     rule-based vs. statistical recall side by side.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     families = tuple(families)
     from ..stats import battery_for
 
@@ -486,6 +335,12 @@ def run_campaign(
 
         archive = coerce_archive(archive)
     result = CampaignResult(spec=spec, families=families)
+    settings = {
+        "spec": spec.to_dict(),
+        "threshold": threshold,
+        "families": list(families),
+        "time_budget": time_budget,
+    }
 
     def check_failures() -> None:
         if spec.max_failures < 0:
@@ -503,19 +358,46 @@ def run_campaign(
     with tempfile.TemporaryDirectory(prefix="ats-synth-") as tmp:
         workdir = Path(tmp)
 
+        def cell(scenario: Scenario) -> ScenarioCell:
+            pspec = scenario.build_spec()
+            manifest = scenario.manifest()
+            manifest.validate()
+            detected, events, salvaged, run_id = run_noisy_cell(
+                pspec,
+                scenario.size,
+                scenario.threads,
+                scenario.seed,
+                spec.noise.plan,
+                scenario.noise_magnitude,
+                threshold,
+                families,
+                workdir,
+                time_budget,
+                archive,
+                manifest=manifest.to_dict(),
+            )
+            return _build_cell(
+                scenario, detected, events, run_id, salvaged=salvaged,
+                families=families,
+            )
+
         def run_batch(batch: Sequence[Scenario]) -> None:
+            outcomes = run_cells(
+                [(cell_key(sc), partial(cell, sc)) for sc in batch],
+                ScenarioCell.from_dict,
+                settings,
+                supervisor,
+                archive,
+                workers,
+            )
             result.cells.extend(
-                _execute_batch(
-                    batch,
-                    spec,
-                    threshold,
-                    workdir,
-                    time_budget,
-                    supervisor,
-                    archive,
-                    workers,
-                    families,
+                outcome.value
+                if outcome.ok
+                else _build_cell(
+                    scenario, error=outcome.failure.error,
+                    families=families,
                 )
+                for scenario, outcome in zip(batch, outcomes)
             )
             check_failures()
 

@@ -16,10 +16,12 @@ detected property ids); the bundled analyzer is the default.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence, Tuple
 
 from ..analysis import analyze_run
 from ..core.registry import PropertySpec, list_properties
+from ..resilience import run_cells
 
 #: properties tolerated in any program (framework overhead, paper fig 3.2)
 GLOBALLY_ALLOWED = ("mpi_init_overhead",)
@@ -54,7 +56,7 @@ class MatrixRow:
     #: localization requirement); None when not checkable (negative
     #: rows, or tools that do not localize)
     localized: Optional[bool] = None
-    #: exception text when the program itself failed under supervision
+    #: exception text when the program or the tool under test failed
     #: (deadlock, hang, crash); a failed row detects nothing
     error: Optional[str] = None
 
@@ -266,81 +268,6 @@ def matrix_cell_key(spec_name: str, size: int, seed: int) -> str:
     return f"{spec_name}|size{size}|s{seed}"
 
 
-def _forked_matrix_cell(
-    spec: PropertySpec,
-    tool: Optional[DetectorFn],
-    size: int,
-    num_threads: int,
-    seed: int,
-    time_budget: Optional[float],
-    archive,
-) -> dict:
-    """Child-side matrix cell (see :mod:`repro.resilience.forked`)."""
-    if archive is not None:
-        archive.store.begin_deferred()
-    return validate_spec(
-        spec,
-        tool=tool,
-        size=size,
-        num_threads=num_threads,
-        seed=seed,
-        time_budget=time_budget,
-        archive=archive,
-    ).to_dict()
-
-
-def _run_matrix_forked(
-    specs,
-    tool,
-    size,
-    num_threads,
-    seed,
-    time_budget,
-    supervisor,
-    archive,
-    workers,
-    result,
-) -> None:
-    """Fan the matrix out over forked workers (see run_validation_matrix)."""
-    from ..resilience.forked import run_cells_forked
-
-    cells = [
-        (
-            matrix_cell_key(spec.name, size, seed),
-            lambda spec=spec: _forked_matrix_cell(
-                spec, tool, size, num_threads, seed, time_budget, archive
-            ),
-        )
-        for spec in specs
-    ]
-    extras_fn = None
-    on_extras = None
-    if archive is not None:
-        extras_fn = archive.store.drain_deferred
-
-        def on_extras(key, records):
-            for run_id, payload in records:
-                archive.store.record_run(run_id, payload)
-
-    outcomes = run_cells_forked(
-        cells,
-        workers=workers,
-        supervisor=supervisor,
-        extras_fn=extras_fn,
-        on_extras=on_extras,
-    )
-    for spec, outcome in zip(specs, outcomes):
-        if outcome.ok:
-            value = outcome.value
-            if not isinstance(value, MatrixRow):
-                value = MatrixRow.from_dict(value)
-            result.rows.append(value)
-        else:
-            result.rows.append(
-                _failed_row(spec, outcome.failure.error)
-            )
-
-
 def run_validation_matrix(
     specs: Optional[Sequence[PropertySpec]] = None,
     tool: Optional[DetectorFn] = None,
@@ -354,46 +281,36 @@ def run_validation_matrix(
 ) -> MatrixResult:
     """Validate every (or the given) property function; see module doc.
 
-    With a ``supervisor`` (:class:`repro.resilience.Supervisor`) each
-    program runs supervised -- a deadlocking or hung program is
-    quarantined as a failed row instead of aborting the whole matrix,
-    and a checkpoint-carrying supervisor resumes a killed run.  With an
-    ``archive``, every executed run's trace is recorded (cells replayed
-    from a checkpoint are not re-executed, so they contribute nothing
-    new to the archive).  ``workers > 1`` runs the programs in forked
-    child processes; rows come back in spec order either way, so the
-    matrix is identical to a serial pass.
+    ``supervisor`` (:class:`repro.resilience.Supervisor`) sets the
+    wall-clock timeout, retries and checkpoint journal the programs
+    run under; without one, a default supervisor runs each program
+    once.  Either way a deadlocking, hung or crashing program -- or a
+    tool that raises on its trace -- becomes a failed row instead of
+    aborting the matrix, and a checkpoint-carrying supervisor resumes
+    a killed run.  A checkpoint written under another thread count or
+    time budget refuses to resume
+    (:class:`repro.resilience.CheckpointError`).  With an
+    ``archive``, every executed run's trace is recorded (cells
+    replayed from a checkpoint are not re-executed, so they contribute
+    nothing new to the archive).  ``workers > 1`` runs the programs in
+    forked child processes; rows come back in spec order either way,
+    so the matrix is identical to a serial pass.
 
     Note the tool under test crosses a ``fork`` in parallel mode: a
     ``tool`` callable must therefore not depend on parent-side mutable
     state if it is to behave identically under ``workers > 1``.
     """
     specs = list_properties() if specs is None else list(specs)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     if archive is not None:
         from ..archive import coerce_archive
 
         archive = coerce_archive(archive)
-    result = MatrixResult()
-    if workers > 1:
-        _run_matrix_forked(
-            specs,
-            tool,
-            size,
-            num_threads,
-            seed,
-            time_budget,
-            supervisor,
-            archive,
-            workers,
-            result,
-        )
-        return result
-    for spec in specs:
-        if supervisor is None:
-            result.rows.append(
-                validate_spec(
+    outcomes = run_cells(
+        [
+            (
+                matrix_cell_key(spec.name, size, seed),
+                partial(
+                    validate_spec,
                     spec,
                     tool=tool,
                     size=size,
@@ -401,30 +318,24 @@ def run_validation_matrix(
                     seed=seed,
                     time_budget=time_budget,
                     archive=archive,
-                )
+                ),
             )
-            continue
-        outcome = supervisor.run_cell(
-            matrix_cell_key(spec.name, size, seed),
-            lambda spec=spec: validate_spec(
-                spec,
-                tool=tool,
-                size=size,
-                num_threads=num_threads,
-                seed=seed,
-                time_budget=time_budget,
-                archive=archive,
-            ),
-            encode=lambda row: row.to_dict(),
-            decode=MatrixRow.from_dict,
-        )
-        if outcome.ok:
-            result.rows.append(outcome.value)
-        else:
-            result.rows.append(
-                _failed_row(spec, outcome.failure.error)
-            )
-    return result
+            for spec in specs
+        ],
+        MatrixRow.from_dict,
+        {"threads": num_threads, "time_budget": time_budget},
+        supervisor,
+        archive,
+        workers,
+    )
+    return MatrixResult(
+        rows=[
+            outcome.value
+            if outcome.ok
+            else _failed_row(spec, outcome.failure.error)
+            for spec, outcome in zip(specs, outcomes)
+        ]
+    )
 
 
 @dataclass(frozen=True)
@@ -436,6 +347,9 @@ class ToolCertificate:
     false_positive_rate: float
     localization_rate: float
     programs: int
+    #: rows whose program or tool raised: they detect nothing, so a
+    #: negative row with an error would otherwise grade as a pass
+    errors: int
 
     @property
     def certified(self) -> bool:
@@ -443,6 +357,7 @@ class ToolCertificate:
         return (
             self.positive_detection_rate == 1.0
             and self.false_positive_rate == 0.0
+            and self.errors == 0
         )
 
     def format(self) -> str:
@@ -451,7 +366,8 @@ class ToolCertificate:
             f"tool {self.tool_name!r}: {verdict} over {self.programs} "
             f"programs (detection {self.positive_detection_rate:.0%}, "
             f"false positives {self.false_positive_rate:.0%}, "
-            f"localization {self.localization_rate:.0%})\n"
+            f"localization {self.localization_rate:.0%}, "
+            f"errors {self.errors})\n"
         )
 
 
@@ -479,4 +395,5 @@ def certify_tool(
         false_positive_rate=matrix.false_positive_rate,
         localization_rate=matrix.localization_rate,
         programs=len(matrix.rows),
+        errors=sum(1 for row in matrix.rows if row.error is not None),
     )

@@ -9,14 +9,17 @@ reports it) and a **false-positive curve** (fraction of runs that
 should *not* exhibit it where the tool reports it anyway) as functions
 of perturbation magnitude.
 
-The per-cell pipeline matches how a real tool meets a noisy run:
+The per-cell pipeline, :func:`repro.synth.campaign.run_noisy_cell`
+(shared with synthesis campaigns), matches how a real tool meets a
+noisy run:
 
 1. execute the program with the scaled plan's runtime perturbations
    (stragglers, jitter, latency noise, reorder) active,
 2. if the plan carries trace faults, round-trip the trace through a
    fault-injecting :class:`~repro.trace.io.TraceWriter` and read it
    back with ``skip_bad_lines`` + ``salvage`` (the recovery path),
-3. analyze and compare against the registry ground truth.
+3. analyze; this module then compares against the registry ground
+   truth.
 
 Magnitude 0 scales every perturbation to a no-op, so the zero point of
 each curve is exactly the clean validation matrix.  Everything is
@@ -29,13 +32,13 @@ from __future__ import annotations
 import json
 import tempfile
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..analysis import AnalysisConfig, analyze_events, analyze_run
 from ..core.registry import PropertySpec, list_properties
-from ..faults import FaultInjector, FaultPlan
-from ..trace.io import read_trace, write_trace
+from ..faults import FaultPlan
+from ..resilience import run_cells
 from .harness import GLOBALLY_ALLOWED
 
 #: default magnitude grid (>= 3 nonzero-capable points, anchored at 0)
@@ -305,270 +308,9 @@ def _build_cell(
     )
 
 
-def _run_cell_checked(
-    spec: PropertySpec,
-    magnitude: float,
-    seed: int,
-    plan: FaultPlan,
-    size: int,
-    num_threads: int,
-    threshold: float,
-    workdir: Path,
-    time_budget: Optional[float] = None,
-    archive=None,
-    families: Tuple[str, ...] = ("rule",),
-) -> RobustnessCell:
-    """One cell, raising on failure (the supervisor's entry point).
-
-    A deadlocking or hung program raises
-    :class:`~repro.simkernel.DeadlockError` /
-    :class:`~repro.simkernel.HangError` out of here so the supervisor
-    can classify and quarantine it with its structured report intact.
-
-    With an ``archive``, the events the analyzer actually saw (after
-    any trace-fault round trip) are recorded under the scaled plan --
-    the faulty-run side of an ``ats diff`` against a clean baseline.
-    """
-
-    def _archive(events, final_time, transport) -> None:
-        if archive is None:
-            return
-        from ..archive import params_to_jsonable
-
-        archive.record(
-            program=spec.name,
-            events=events,
-            final_time=final_time,
-            paradigm=spec.paradigm,
-            params=params_to_jsonable(spec.default_params),
-            size=size,
-            threads=num_threads,
-            seed=seed,
-            plan=dict(scaled.to_dict(), magnitude=magnitude),
-            eager_threshold=(
-                transport.eager_threshold if transport is not None else None
-            ),
-        )
-
-    from ..stats import battery_for
-
-    detectors = battery_for(families)
-    scaled = plan.scaled(magnitude)
-    injector = FaultInjector.coerce(scaled, seed=seed)
-    run = spec.run(
-        size=size,
-        num_threads=num_threads,
-        seed=seed,
-        faults=injector,
-        time_budget=time_budget,
-    )
-    if injector is None or not injector.has_trace_faults:
-        _archive(run.events, run.final_time, getattr(run, "transport", None))
-        analysis = analyze_run(run, detectors=detectors)
-        return _build_cell(
-            spec,
-            magnitude,
-            seed,
-            detected=analysis.detected(threshold),
-            events=len(run.events),
-            families=families,
-        )
-    # Trace faults: round-trip through the fault-injecting writer and
-    # the salvaging reader -- the analyzer sees what landed on disk.
-    path = workdir / (
-        f"{spec.name}-m{magnitude:g}-s{seed}.trace.jsonl"
-    )
-    write_trace(
-        path,
-        run.events,
-        metadata={"program": spec.name, "seed": seed},
-        faults=injector,
-    )
-    events, metadata = read_trace(
-        path, skip_bad_lines=True, salvage=True
-    )
-    transport = getattr(run, "transport", None)
-    _archive(events, run.final_time, transport)
-    config = (
-        AnalysisConfig(eager_threshold=transport.eager_threshold)
-        if transport is not None
-        else None
-    )
-    analysis = analyze_events(
-        events,
-        total_time=run.final_time,
-        config=config,
-        detectors=detectors,
-    )
-    return _build_cell(
-        spec,
-        magnitude,
-        seed,
-        detected=analysis.detected(threshold),
-        events=len(events),
-        salvaged=bool(metadata.get("truncated")),
-        families=families,
-    )
-
-
-def _run_cell(
-    spec: PropertySpec,
-    magnitude: float,
-    seed: int,
-    plan: FaultPlan,
-    size: int,
-    num_threads: int,
-    threshold: float,
-    workdir: Path,
-    time_budget: Optional[float] = None,
-    archive=None,
-    families: Tuple[str, ...] = ("rule",),
-) -> RobustnessCell:
-    """One cell with failures folded into the cell itself (direct mode)."""
-    try:
-        return _run_cell_checked(
-            spec,
-            magnitude,
-            seed,
-            plan,
-            size,
-            num_threads,
-            threshold,
-            workdir,
-            time_budget,
-            archive,
-            families,
-        )
-    except Exception as exc:  # a fault broke the run or its trace
-        return _build_cell(
-            spec,
-            magnitude,
-            seed,
-            error=f"{type(exc).__name__}: {exc}",
-            families=families,
-        )
-
-
 def cell_key(spec_name: str, magnitude: float, seed: int) -> str:
     """Stable checkpoint key of one sweep cell."""
     return f"{spec_name}|m{magnitude:g}|s{seed}"
-
-
-def _forked_cell(
-    runner,
-    spec: PropertySpec,
-    magnitude: float,
-    seed: int,
-    plan: FaultPlan,
-    size: int,
-    num_threads: int,
-    threshold: float,
-    workdir: Path,
-    time_budget: Optional[float],
-    archive,
-    families: Tuple[str, ...],
-) -> dict:
-    """Child-side cell body for the fork executor.
-
-    Flips the inherited archive into deferred-manifest mode (blob
-    writes are fork-safe; journal appends are not -- the queued records
-    ride home on the extras channel) and returns the cell as the JSON
-    dict that crosses the result pipe.
-    """
-    if archive is not None:
-        archive.store.begin_deferred()
-    return runner(
-        spec,
-        magnitude,
-        seed,
-        plan,
-        size,
-        num_threads,
-        threshold,
-        workdir,
-        time_budget,
-        archive,
-        families,
-    ).to_dict()
-
-
-def _run_grid_forked(
-    specs,
-    magnitudes,
-    seeds,
-    plan,
-    size,
-    num_threads,
-    threshold,
-    workdir,
-    time_budget,
-    supervisor,
-    archive,
-    workers,
-    result,
-    families,
-) -> None:
-    """Fan the cell grid out over forked workers (see run_robustness)."""
-    from ..resilience.forked import run_cells_forked
-
-    runner = _run_cell_checked if supervisor is not None else _run_cell
-    grid = []
-    cells = []
-    for spec in specs:
-        for magnitude in magnitudes:
-            for seed in seeds:
-                grid.append((spec, magnitude, seed))
-                cells.append(
-                    (
-                        cell_key(spec.name, magnitude, seed),
-                        lambda spec=spec, m=magnitude, s=seed: _forked_cell(
-                            runner,
-                            spec,
-                            m,
-                            s,
-                            plan,
-                            size,
-                            num_threads,
-                            threshold,
-                            workdir,
-                            time_budget,
-                            archive,
-                            families,
-                        ),
-                    )
-                )
-    extras_fn = None
-    on_extras = None
-    if archive is not None:
-        extras_fn = archive.store.drain_deferred
-
-        def on_extras(key, records):
-            for run_id, payload in records:
-                archive.store.record_run(run_id, payload)
-
-    outcomes = run_cells_forked(
-        cells,
-        workers=workers,
-        supervisor=supervisor,
-        extras_fn=extras_fn,
-        on_extras=on_extras,
-    )
-    for (spec, magnitude, seed), outcome in zip(grid, outcomes):
-        if outcome.ok:
-            value = outcome.value
-            if not isinstance(value, RobustnessCell):
-                value = RobustnessCell.from_dict(value)
-            result.cells.append(value)
-        else:
-            result.cells.append(
-                _build_cell(
-                    spec,
-                    magnitude,
-                    seed,
-                    error=outcome.failure.error,
-                    families=families,
-                )
-            )
 
 
 def run_robustness(
@@ -592,20 +334,23 @@ def run_robustness(
     the full cell grid with per-detector TP/FP curves.
 
     ``time_budget`` arms the per-run virtual-time watchdog, and
-    ``supervisor`` (a :class:`repro.resilience.Supervisor`) runs each
-    cell supervised: wall-clock timeout, retry, quarantine, and -- when
-    the supervisor carries a checkpoint journal -- resume.  Failed
-    cells surface identically in both modes (as error cells counting as
-    "detected nothing"), so a supervised sweep's artifact is
-    byte-identical to a direct one unless wall-clock timeouts fire.
-    ``archive`` records every analyzed (possibly fault-damaged) trace
-    in a :class:`repro.archive.Archive` under its scaled fault plan.
+    ``supervisor`` (a :class:`repro.resilience.Supervisor`) sets the
+    wall-clock timeout, retries and checkpoint journal the cells run
+    under; without one, a default supervisor runs each cell once.  A
+    failed cell becomes an error cell counting as "detected nothing",
+    so a supervised sweep's artifact is byte-identical to a direct one
+    unless wall-clock timeouts fire.  A checkpoint written under
+    another size, thread count, threshold, plan, families or time
+    budget refuses to resume
+    (:class:`repro.resilience.CheckpointError`).  ``archive`` records
+    every analyzed (possibly fault-damaged) trace in a
+    :class:`repro.archive.Archive` under its scaled fault plan.
 
     ``workers > 1`` fans the cell grid out over forked child processes
-    (:mod:`repro.resilience.forked`) -- true multicore throughput.
-    Cells are independent and seed-deterministic, and results are
-    assembled in grid order, so the returned result (and its JSON) is
-    byte-identical to a serial sweep for any worker count.
+    (:func:`repro.resilience.run_cells`).  Cells are independent and
+    seed-deterministic, and results are assembled in grid order, so
+    the returned result (and its JSON) is byte-identical to a serial
+    sweep for any worker count.
 
     ``families`` selects the detector families to run (see
     :func:`repro.stats.battery_for`).  With ``"similarity"`` enabled,
@@ -616,8 +361,6 @@ def run_robustness(
     detection on a negative program counts as a false positive.
     """
     specs = list_properties() if specs is None else list(specs)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     if archive is not None:
         from ..archive import coerce_archive
 
@@ -631,81 +374,69 @@ def run_robustness(
     if not seeds:
         raise ValueError("need at least one seed")
     from ..stats import battery_for
+    from ..synth.campaign import run_noisy_cell
 
     battery_for(families)  # validates family names
-    result = RobustnessResult(
-        magnitudes=magnitudes, seeds=seeds, plan=plan, families=families
-    )
+    grid = [
+        (spec, magnitude, seed)
+        for spec in specs
+        for magnitude in magnitudes
+        for seed in seeds
+    ]
+    settings = {
+        "size": size,
+        "threads": num_threads,
+        "threshold": threshold,
+        "plan": plan.to_dict(),
+        "families": list(families),
+        "time_budget": time_budget,
+    }
     with tempfile.TemporaryDirectory(prefix="ats-robustness-") as tmp:
         workdir = Path(tmp)
-        if workers > 1:
-            _run_grid_forked(
-                specs,
-                magnitudes,
-                seeds,
-                plan,
+
+        def cell(spec, magnitude, seed) -> RobustnessCell:
+            detected, events, salvaged, _run_id = run_noisy_cell(
+                spec,
                 size,
                 num_threads,
+                seed,
+                plan,
+                magnitude,
                 threshold,
+                families,
                 workdir,
                 time_budget,
-                supervisor,
                 archive,
-                workers,
-                result,
-                families,
             )
-            return result
-        for spec in specs:
-            for magnitude in magnitudes:
-                for seed in seeds:
-                    if supervisor is None:
-                        result.cells.append(
-                            _run_cell(
-                                spec,
-                                magnitude,
-                                seed,
-                                plan,
-                                size,
-                                num_threads,
-                                threshold,
-                                workdir,
-                                time_budget,
-                                archive,
-                                families,
-                            )
-                        )
-                        continue
-                    outcome = supervisor.run_cell(
-                        cell_key(spec.name, magnitude, seed),
-                        lambda spec=spec, m=magnitude, s=seed: (
-                            _run_cell_checked(
-                                spec,
-                                m,
-                                s,
-                                plan,
-                                size,
-                                num_threads,
-                                threshold,
-                                workdir,
-                                time_budget,
-                                archive,
-                                families,
-                            )
-                        ),
-                        encode=lambda c: c.to_dict(),
-                        decode=RobustnessCell.from_dict,
-                    )
-                    if outcome.ok:
-                        result.cells.append(outcome.value)
-                    else:
-                        result.cells.append(
-                            _build_cell(
-                                spec,
-                                magnitude,
-                                seed,
-                                error=outcome.failure.error,
-                                families=families,
-                            )
-                        )
-    return result
+            return _build_cell(
+                spec, magnitude, seed, detected, events,
+                salvaged=salvaged, families=families,
+            )
+
+        outcomes = run_cells(
+            [
+                (cell_key(spec.name, magnitude, seed),
+                 partial(cell, spec, magnitude, seed))
+                for spec, magnitude, seed in grid
+            ],
+            RobustnessCell.from_dict,
+            settings,
+            supervisor,
+            archive,
+            workers,
+        )
+    return RobustnessResult(
+        magnitudes=magnitudes,
+        seeds=seeds,
+        plan=plan,
+        cells=[
+            outcome.value
+            if outcome.ok
+            else _build_cell(
+                spec, magnitude, seed, error=outcome.failure.error,
+                families=families,
+            )
+            for (spec, magnitude, seed), outcome in zip(grid, outcomes)
+        ],
+        families=families,
+    )

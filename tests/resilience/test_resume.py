@@ -1,5 +1,7 @@
 """Checkpoint/resume: a resumed sweep reproduces the uninterrupted artifact."""
 
+import json
+
 import pytest
 
 from repro.core.registry import get_property
@@ -101,3 +103,20 @@ def test_validation_matrix_supervised_matches_direct(tmp_path, specs):
     assert [r.to_dict() for r in resumed.rows] == [
         r.to_dict() for r in direct.rows
     ]
+
+
+def test_journal_without_settings_digest_still_resumes(tmp_path, specs):
+    """Journals written before headers carried a digest keep resuming."""
+    path = tmp_path / "ck.jsonl"
+    sup = Supervisor(checkpoint=path)
+    baseline = _sweep(specs, supervisor=sup)
+    sup.close()
+    header, *records = path.read_text().splitlines(keepends=True)
+    legacy = json.loads(header)
+    assert legacy.pop("settings")
+    path.write_text(json.dumps(legacy) + "\n" + "".join(records))
+
+    resumed_sup = Supervisor(checkpoint=path)
+    resumed = _sweep(specs, supervisor=resumed_sup)
+    resumed_sup.close()
+    assert resumed.to_json_str() == baseline.to_json_str()

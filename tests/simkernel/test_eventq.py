@@ -6,9 +6,6 @@ reference heap queue under any push/pop interleaving, and traces must
 stay bit-identical per seed whichever queue a simulator uses.
 """
 
-import os
-import subprocess
-import sys
 from collections import deque
 
 import pytest
@@ -16,12 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import get_property
-from repro.simkernel.eventq import (
-    CalendarEventQueue,
-    HeapEventQueue,
-    default_queue_class,
-)
+from repro.simkernel import scheduler
+from repro.simkernel.eventq import CalendarEventQueue
 from repro.trace.io import events_to_jsonl
+
+from .heap_queue import HeapEventQueue
 
 # ----------------------------------------------------------------------
 # direct queue equivalence
@@ -138,32 +134,11 @@ def test_partially_popped_bucket_then_transfer():
 
 
 # ----------------------------------------------------------------------
-# ATS_SCHEDULER selection
-# ----------------------------------------------------------------------
-
-def test_default_queue_class_selection(monkeypatch):
-    monkeypatch.delenv("ATS_SCHEDULER", raising=False)
-    assert default_queue_class() is CalendarEventQueue
-    monkeypatch.setenv("ATS_SCHEDULER", "heap")
-    assert default_queue_class() is HeapEventQueue
-    monkeypatch.setenv("ATS_SCHEDULER", " Calendar ")
-    assert default_queue_class() is CalendarEventQueue
-    monkeypatch.setenv("ATS_SCHEDULER", "")
-    assert default_queue_class() is CalendarEventQueue
-
-
-def test_default_queue_class_rejects_unknown(monkeypatch):
-    monkeypatch.setenv("ATS_SCHEDULER", "btree")
-    with pytest.raises(ValueError, match="ATS_SCHEDULER"):
-        default_queue_class()
-
-
-# ----------------------------------------------------------------------
 # end-to-end: traces bit-identical across schedulers
 # ----------------------------------------------------------------------
 
-def _trace_text(name: str, scheduler: str, monkeypatch) -> str:
-    monkeypatch.setenv("ATS_SCHEDULER", scheduler)
+def _trace_text(name: str, queue_class, monkeypatch) -> str:
+    monkeypatch.setattr(scheduler, "CalendarEventQueue", queue_class)
     run = get_property(name).run(size=8, num_threads=3, seed=7)
     return events_to_jsonl(run.events, metadata={"program": name})
 
@@ -173,8 +148,8 @@ def _trace_text(name: str, scheduler: str, monkeypatch) -> str:
     ["imbalance_at_mpi_barrier", "hybrid_imbalance_then_barrier"],
 )
 def test_traces_bit_identical_across_schedulers(name, monkeypatch):
-    heap = _trace_text(name, "heap", monkeypatch)
-    calendar = _trace_text(name, "calendar", monkeypatch)
+    heap = _trace_text(name, HeapEventQueue, monkeypatch)
+    calendar = _trace_text(name, CalendarEventQueue, monkeypatch)
     assert heap == calendar
 
 
@@ -201,25 +176,3 @@ def test_same_timestamp_fifo_fast_path_regression():
     assert len(sim._eventq) == 0
     # spawn order is preserved within every same-time step
     assert order == [(s, i) for s in range(3) for i in range(4)]
-
-
-def test_subprocess_scheduler_env_round_trip():
-    """ATS_SCHEDULER picked up at simulator construction in a clean env."""
-    code = (
-        "from repro.simkernel import Simulator, hold\n"
-        "from repro.simkernel.eventq import HeapEventQueue\n"
-        "sim = Simulator()\n"
-        "assert type(sim._eventq) is HeapEventQueue, type(sim._eventq)\n"
-        "sim.spawn(lambda: hold(1.0))\n"
-        "assert sim.run() == 1.0\n"
-        "print('heap-ok')\n"
-    )
-    env = dict(os.environ, ATS_SCHEDULER="heap")
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert out.returncode == 0, out.stderr
-    assert "heap-ok" in out.stdout

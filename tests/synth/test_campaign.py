@@ -6,7 +6,7 @@ import pytest
 
 from repro.archive import Archive
 from repro.faults import FaultPlan
-from repro.resilience import Supervisor
+from repro.resilience import CheckpointError, Supervisor
 from repro.synth import (
     CampaignError,
     CampaignSpec,
@@ -166,3 +166,18 @@ def test_resume_crosses_executors(tmp_path):
         workers=3,
     )
     assert resumed.to_json_str() == baseline.to_json_str()
+
+
+def test_resume_under_other_families_is_refused(tmp_path):
+    """A rule-only journal must not replay into a two-family campaign."""
+    checkpoint = str(tmp_path / "cells.ckpt")
+    spec = _spec(scenarios=3)
+    sup = Supervisor(checkpoint=checkpoint)
+    run_campaign(spec, supervisor=sup)
+    sup.close()
+    resumed = Supervisor(checkpoint=checkpoint)
+    with pytest.raises(CheckpointError, match="other sweep settings"):
+        run_campaign(
+            spec, supervisor=resumed, families=("rule", "similarity")
+        )
+    resumed.close()

@@ -211,6 +211,19 @@ def test_robustness_checkpoint_resume_round_trip(tmp_path, capsys):
     assert resumed.read_bytes() == full.read_bytes()
 
 
+def test_resume_under_other_settings_is_refused(tmp_path, capsys):
+    """A journal computed at one size must not replay at another."""
+    argv = [
+        "robustness", "--program", "late_sender", "--magnitudes", "0",
+        "--seeds", "1", "--threads", "2",
+        "--checkpoint", str(tmp_path / "ck.jsonl"),
+    ]
+    assert main([*argv, "--size", "4"]) == 0
+    capsys.readouterr()
+    rc, _, err = _run(capsys, *argv, "--size", "8", "--resume")
+    assert_clean_error(rc, err, "other sweep settings")
+
+
 def test_robustness_cli_rejects_bad_args(capsys):
     rc, _, err = _run(capsys, "robustness", "--magnitudes", "0,zap")
     assert_clean_error(rc, err, "bad --magnitudes value")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import analyze_run
 from repro.analysis.detectors import LateSenderDetector
 from repro.analysis.tools import battery_without, pattern_tool
 from repro.core import get_property
@@ -20,6 +21,7 @@ def test_bundled_analyzer_is_certified():
     assert cert.false_positive_rate == 0.0
     assert cert.localization_rate == 1.0
     assert cert.programs >= 30
+    assert cert.errors == 0
     assert "CERTIFIED" in cert.format()
 
 
@@ -29,6 +31,22 @@ def test_crippled_tool_not_certified():
     assert not cert.certified
     assert cert.positive_detection_rate < 1.0
     assert "NOT certified" in cert.format()
+
+
+def test_tool_that_crashes_on_quiet_traces_not_certified():
+    """An errored negative row detects nothing; it must not pass."""
+
+    def quiet_crasher(run):
+        detected = analyze_run(run).detected(0.01)
+        if not set(detected) - {"mpi_init_overhead"}:
+            raise RuntimeError("nothing to report")
+        return detected
+
+    cert = certify_tool(quiet_crasher, size=8)
+    assert cert.false_positive_rate == 0.0
+    assert cert.errors > 0
+    assert not cert.certified
+    assert f"errors {cert.errors}" in cert.format()
 
 
 def test_certificate_carries_tool_name():

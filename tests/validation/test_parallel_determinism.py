@@ -7,12 +7,15 @@ not, and checkpoint journals written by either path must resume under
 the other.
 """
 
+import dataclasses
 import json
+import time
 
 import pytest
 
 from repro.archive import Archive
 from repro.core import get_property
+from repro.core.registry import PropertySpec
 from repro.resilience import Supervisor
 from repro.validation import run_robustness, run_validation_matrix
 from repro.work.forkexec import fork_available
@@ -108,3 +111,44 @@ def test_checkpoints_resume_across_executors(
     resumed = _robustness(workers=resume_workers, supervisor=sup2)
     sup2.close()
     assert resumed.to_json_str() == first.to_json_str()
+
+
+@dataclasses.dataclass(frozen=True)
+class _SlowFirstSeed(PropertySpec):
+    """A spec whose seed-0 run takes a wall-clock second longer."""
+
+    def run(self, *args, **kwargs):
+        if kwargs.get("seed") == 0:
+            time.sleep(1.0)
+        return super().run(*args, **kwargs)
+
+
+def test_forked_files_are_serial_bytes_when_first_cell_is_slowest(
+    tmp_path,
+):
+    """Forked cells resolve in cell order, not completion order."""
+    base = get_property("late_sender")
+    slow = _SlowFirstSeed(
+        **{f.name: getattr(base, f.name) for f in dataclasses.fields(base)}
+    )
+    specs = [slow, get_property("balanced_mpi_barrier")]
+
+    def files(root, workers):
+        sup = Supervisor(checkpoint=root / "ck.jsonl")
+        archive = Archive(root / "archive")
+        run_robustness(
+            specs=specs, magnitudes=(0.0,), seeds=(0, 1, 2), size=4,
+            num_threads=2, supervisor=sup, archive=archive,
+            workers=workers,
+        )
+        sup.close()
+        archive.close()
+        return (
+            (root / "ck.jsonl").read_bytes(),
+            (root / "archive" / "manifest.jsonl").read_bytes(),
+        )
+
+    serial = files(tmp_path / "serial", workers=1)
+    forked = files(tmp_path / "forked", workers=2)
+    assert forked[0] == serial[0]  # checkpoint journal
+    assert forked[1] == serial[1]  # archive manifest
