@@ -13,8 +13,9 @@ Hook sites (all duck-typed -- none of those modules imports this one):
   :mod:`repro.simkernel.scheduler` (stragglers + timing jitter),
 * :meth:`wire_delay` / :meth:`reorder_sends` -- the matching engine in
   :mod:`repro.simmpi.transport` (latency noise + bounded reorder),
-* :meth:`record_copies` / :meth:`truncate_at` -- the trace writer in
-  :mod:`repro.trace.io` (drop / duplicate / mid-file truncation).
+* :meth:`record_copies` / :meth:`truncate_at` -- the trace encoder
+  ``events_to_jsonl`` and ``write_trace`` in :mod:`repro.trace.io`
+  (drop / duplicate / mid-file truncation).
 
 Because each domain owns its own stream, adding or removing one
 perturbation never shifts the draws of another, and because every draw
@@ -224,7 +225,7 @@ class FaultInjector:
         return 1
 
     def truncate_at(self, total_bytes: int) -> Optional[int]:
-        """Byte offset to truncate a closed trace file at, or ``None``."""
+        """Byte offset to cut a finished trace's bytes at, or ``None``."""
         if not self._truncate_frac or total_bytes <= 0:
             return None
         cut = int(total_bytes * (1.0 - self._truncate_frac))

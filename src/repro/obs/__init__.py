@@ -50,7 +50,6 @@ from .metrics import (
     MetricsRegistry,
     get_registry,
     metrics_enabled,
-    null_registry,
     quantile_from_counts,
     reset_metrics,
     set_metrics_enabled,
@@ -83,7 +82,6 @@ __all__ = [
     "kernel_metrics",
     "merge_state",
     "metrics_enabled",
-    "null_registry",
     "omp_metrics",
     "quantile_from_counts",
     "registry_state",

@@ -226,7 +226,7 @@ def omp_metrics() -> Optional[OmpMetrics]:
 # ----------------------------------------------------------------------
 
 class TraceMetrics:
-    """Recorder and writer metrics.
+    """Recorder metrics.
 
     Event counts and interning statistics are *harvested* from the
     recorder's plain-int bookkeeping when a run finishes
@@ -238,8 +238,6 @@ class TraceMetrics:
         "events",
         "intern_requests",
         "intern_entries",
-        "writer_flushes",
-        "writer_lines",
     )
 
     def __init__(self, reg: MetricsRegistry) -> None:
@@ -255,14 +253,6 @@ class TraceMetrics:
         self.intern_entries = reg.counter(
             "ats_trace_intern_entries_total",
             "Distinct interned call-path tuples",
-        )
-        self.writer_flushes = reg.counter(
-            "ats_trace_writer_flushes_total",
-            "TraceWriter buffer drains to the file",
-        )
-        self.writer_lines = reg.counter(
-            "ats_trace_writer_lines_total",
-            "Serialized lines written by TraceWriter drains",
         )
 
     def harvest_recorder(self, recorder) -> None:

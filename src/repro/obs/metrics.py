@@ -14,9 +14,7 @@ Design constraints, in order of importance:
 2. **Disabled mode costs nothing.**  The global switch defaults to
    off.  Instrument bundles (:mod:`repro.obs.instruments`) resolve to
    ``None`` when disabled, so hot paths pay one attribute load and an
-   ``is not None`` branch -- no allocation, no method call.  Code that
-   wants an unconditional handle can use :func:`null_registry`, whose
-   metric objects are shared no-op singletons.
+   ``is not None`` branch -- no allocation, no method call.
 3. **Enabled mode stays cheap.**  ``Counter.inc`` is one float add;
    ``Histogram.observe`` is a linear scan over a handful of fixed
    bucket boundaries plus one uncontended lock.
@@ -63,7 +61,6 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "get_registry",
     "metrics_enabled",
-    "null_registry",
     "quantile_from_counts",
     "reset_metrics",
     "set_metrics_enabled",
@@ -196,45 +193,6 @@ def quantile_from_counts(
         cumulative += in_bucket
         lower = bound
     return boundaries[-1]
-
-
-class _NoopMetric:
-    """Shared do-nothing stand-in for every metric type.
-
-    A single instance serves as counter, gauge, histogram *and* family:
-    ``labels()`` returns itself, every recording method is a no-op.
-    Handed out by :func:`null_registry` so disabled-mode call sites
-    never allocate.
-    """
-
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def set_total(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def snapshot(self) -> Tuple[List[int], float, int]:
-        return [], 0.0, 0
-
-    def quantile(self, q: float) -> None:
-        return None
-
-    def labels(self, **kwargs: str) -> "_NoopMetric":
-        return self
-
-
-NOOP_METRIC = _NoopMetric()
 
 
 class MetricFamily:
@@ -414,29 +372,6 @@ class MetricsRegistry:
         return [families[k] for k in sorted(families)]
 
 
-class _NullRegistry:
-    """Registry stand-in whose every metric is the shared no-op."""
-
-    __slots__ = ()
-
-    def counter(self, name, help, labelnames=()):
-        return NOOP_METRIC
-
-    def gauge(self, name, help, labelnames=()):
-        return NOOP_METRIC
-
-    def histogram(self, name, help, labelnames=(), buckets=None):
-        return NOOP_METRIC
-
-    def register_collector(self, fn):
-        pass
-
-    def collect(self):
-        return []
-
-
-_NULL_REGISTRY = _NullRegistry()
-
 # ----------------------------------------------------------------------
 # the process-global switch and registry
 # ----------------------------------------------------------------------
@@ -466,11 +401,6 @@ def set_metrics_enabled(flag: bool) -> bool:
 def get_registry() -> MetricsRegistry:
     """The process-global registry (real even while disabled)."""
     return _registry
-
-
-def null_registry() -> _NullRegistry:
-    """The shared no-op registry (all metrics are one singleton)."""
-    return _NULL_REGISTRY
 
 
 def reset_metrics() -> MetricsRegistry:

@@ -36,6 +36,7 @@ from .detector import (
     PhaseAnomalyDetector,
     SimilarityDetector,
     covers,
+    grade_cell,
     property_class,
     statistical_expectations,
 )
@@ -129,6 +130,7 @@ __all__ = [
     "euclidean",
     "feature_cell_key",
     "features_for_run",
+    "grade_cell",
     "kmedoids",
     "manhattan",
     "pairwise_distances",

@@ -108,6 +108,46 @@ def statistical_expectations(
     )
 
 
+def grade_cell(
+    expected: Iterable[str],
+    allowed: Iterable[str],
+    detected: Sequence[str],
+    families: Iterable[str],
+) -> Tuple[Tuple[str, ...], Tuple[str, ...], Tuple[str, ...], Tuple[str, ...]]:
+    """Grade one sweep cell's detections against its ground truth.
+
+    ``expected`` and ``allowed`` name analyzer properties.  With the
+    similarity family among ``families``, the statistical ids are
+    graded through the class taxonomy: those the ground truth obliges
+    (:func:`statistical_expectations`) become expected; on a
+    pathological cell (non-empty ``expected``) the rest are tolerated
+    -- a statistical anomaly flag on a run that is pathological by
+    construction is correct at the family's granularity -- while a
+    clean cell tolerates none, so false alarms stay visible.
+
+    Returns ``(expected, allowed, missing, spurious)``: the graded
+    expected and tolerated ids, sorted; the expected ids not detected;
+    and the detected ids neither expected nor tolerated, in detection
+    order.
+    """
+    expected = set(expected)
+    allowed = set(allowed)
+    if "similarity" in families:
+        obliged = set(statistical_expectations(expected))
+        if expected:
+            allowed |= set(SIMILARITY_PROPERTY_IDS) - obliged
+        expected |= obliged
+    ordered = tuple(sorted(expected))
+    return (
+        ordered,
+        tuple(sorted(allowed)),
+        tuple(p for p in ordered if p not in detected),
+        tuple(
+            p for p in detected if p not in expected and p not in allowed
+        ),
+    )
+
+
 def _as_matrix(
     events: Sequence[Event], total_time_hint: float = 0.0
 ) -> FeatureMatrix:

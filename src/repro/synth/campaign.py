@@ -99,39 +99,19 @@ def _build_cell(
     salvaged: bool = False,
     families: Tuple[str, ...] = ("rule",),
 ) -> ScenarioCell:
+    from ..stats import grade_cell
+
     manifest = scenario.manifest()
     detected = tuple(detected)
-    expected = set(manifest.expected)
-    allowed = set(manifest.allowed)
-    if "similarity" in families:
-        # Manifests name analyzer properties only; the statistical
-        # family is graded through the class taxonomy.  Obliged
-        # statistical ids become expected; on pathological scenarios
-        # the rest are tolerated (a statistical anomaly flag on a
-        # scenario that injects a pathology is correct at the family's
-        # granularity), while clean scenarios tolerate none, so false
-        # alarms stay visible in ``spurious``.
-        from ..stats import (
-            SIMILARITY_PROPERTY_IDS,
-            statistical_expectations,
-        )
-
-        obliged = set(statistical_expectations(expected))
-        if expected:
-            allowed |= set(SIMILARITY_PROPERTY_IDS) - obliged
-        expected |= obliged
+    _, _, missing, spurious = grade_cell(
+        manifest.expected, manifest.allowed, detected, families
+    )
     return ScenarioCell(
         scenario=scenario,
         manifest=manifest,
         detected=detected,
-        missing=tuple(
-            p for p in sorted(expected) if p not in detected
-        ),
-        spurious=tuple(
-            p
-            for p in detected
-            if p not in expected and p not in allowed
-        ),
+        missing=missing,
+        spurious=spurious,
         events=events,
         run_id=run_id,
         error=error,
@@ -164,7 +144,7 @@ def run_noisy_cell(
 
     Runs ``pspec`` under ``plan`` scaled to ``magnitude``.  When the
     scaled plan carries trace faults, the trace round-trips through
-    the fault-injecting writer and the salvaging reader, so the
+    ``write_trace`` with the injector and the salvaging reader, so the
     analyzer sees what landed on disk.  With an ``archive``, the
     analyzed events are recorded under the scaled plan, with the
     ground-truth ``manifest`` when there is one.

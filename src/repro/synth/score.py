@@ -217,8 +217,8 @@ def score_cells(
     from ..stats import (
         SIMILARITY_PROPERTY_IDS,
         covers,
+        grade_cell,
         property_class,
-        statistical_expectations,
     )
 
     stat_ids = set(SIMILARITY_PROPERTY_IDS)
@@ -243,27 +243,20 @@ def score_cells(
             errors += 1
         manifest = cell["manifest"]
         expected = set(manifest["expected"])
-        allowed = set(manifest["allowed"])
         detected = set(cell["detected"])
         stat_detected = stat_ids & detected
-        stat_expected = set(statistical_expectations(expected))
+        # statistical ids are graded through the class taxonomy
+        # wherever they appear, as in the sweeps that produced them
+        graded, tolerated, _, _ = grade_cell(
+            expected, manifest["allowed"], cell["detected"], ("similarity",)
+        )
         for prop, c in counts.items():
-            if prop in stat_ids:
-                # Graded through the class taxonomy, like the
-                # robustness harness: obliged on cells whose ground
-                # truth it covers, tolerated on other pathological
-                # cells, a false alarm on clean ones.
-                hit = prop in stat_expected
-                tolerated = bool(expected) and not hit
-            else:
-                hit = prop in expected
-                tolerated = prop in allowed
-            if hit:
+            if prop in graded:
                 if prop in detected:
                     c[0] += 1  # TP
                 else:
                     c[1] += 1  # FN
-            elif not tolerated:
+            elif prop not in tolerated:
                 if prop in detected:
                     c[2] += 1  # FP
                 else:

@@ -28,7 +28,6 @@ from .events import (
 )
 from .io import (
     TraceFormatError,
-    TraceWriter,
     events_from_jsonl,
     events_to_jsonl,
     gunzip_bytes,
@@ -68,7 +67,6 @@ __all__ = [
     "TraceFormatError",
     "TraceProfile",
     "TraceRecorder",
-    "TraceWriter",
     "bind_instrumentation",
     "by_callpath_prefix",
     "by_location",

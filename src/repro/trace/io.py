@@ -1,19 +1,17 @@
-"""Trace persistence: JSON-lines writer and reader.
+"""Trace persistence: JSON-lines encoder, writer and reader.
 
 The format is deliberately simple and line-oriented so traces can be
 inspected with standard text tools, diffed across runs (determinism
 checks) and loaded back for offline analysis -- the workflow the paper
 envisions between the ATS programs and the analysis tools under test.
 
-:class:`TraceWriter` buffers serialized lines and writes them in large
-chunks; it is a context manager with explicit ``flush``/``close`` so
-buffered tails cannot be silently dropped when a run crashes --
-``close`` always drains the buffer first.  A ``.gz`` destination
-(conventionally ``.jsonl.gz``) writes through a deterministic gzip
-stream -- ``mtime=0``, no embedded filename -- so compressed traces of
-the same run are byte-identical across invocations, which is what lets
-the content-addressed archive (:mod:`repro.archive`) key blobs by
-digest.
+:func:`events_to_jsonl` is the one encoder: :func:`write_trace` and
+the archive (:mod:`repro.archive`) both serialize through it, and
+both compress through :func:`gzip_bytes`.  A ``.gz`` destination
+(conventionally ``.jsonl.gz``) is written as deterministic gzip --
+``mtime=0``, no embedded filename -- so compressed traces of the same
+run are byte-identical across invocations, which is what lets the
+content-addressed archive key blobs by digest.
 
 Reading is hardened against the real world: a truncated or corrupt
 file raises :class:`TraceFormatError` carrying the path and the exact
@@ -23,33 +21,37 @@ line number, and :func:`read_trace` can instead *skip* bad event lines
 remains analyzable.  ``salvage=True`` (``ats analyze --salvage``)
 additionally forgives a corrupt *final* line -- the signature of a
 mid-file truncation -- returning every record up to the cut and
-flagging ``metadata["truncated"]``.  Gzip input is auto-detected from
-the magic bytes regardless of suffix, and a gzip stream cut mid-file
-is salvaged the same way: whatever decompresses cleanly is parsed,
-the partial tail line is dropped.
+flagging ``metadata["truncated"]``; a file cut inside its header line
+salvages to no records.  Gzip input is auto-detected from the magic
+bytes regardless of suffix, and a gzip stream cut mid-file is salvaged
+the same way: whatever decompresses cleanly is parsed, the partial
+tail line is dropped.
 
-Both writer-side trace faults (record drop/duplication, mid-file
+Both write-side trace faults (record drop/duplication, mid-file
 truncation -- see :mod:`repro.faults`) enter through the optional
-``faults`` hook of :class:`TraceWriter`, so fault-injected trace files
-exercise exactly the production serialization path.
+``faults`` argument of :func:`events_to_jsonl` and
+:func:`write_trace`, so fault-injected trace files exercise exactly
+the production serialization path.
 """
 
 from __future__ import annotations
 
 import gzip
-import io
 import json
 import zlib
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
-from ..obs.instruments import trace_metrics
 from .events import Event, event_from_dict
 
 FORMAT_VERSION = 1
 
-#: buffered lines before an automatic drain to the file
-_BUFFER_LINES = 1024
+#: the fixed opening of every header line the encoder writes (what
+#: follows is ``}`` or the metadata); a lone first line that is a
+#: prefix of it, or extends it, is a header cut by a truncation
+_HEADER_OPENING = json.dumps(
+    {"format": "ats-trace", "version": FORMAT_VERSION}
+)[:-1]
 
 #: the two magic bytes opening every gzip member (RFC 1952)
 GZIP_MAGIC = b"\x1f\x8b"
@@ -118,16 +120,27 @@ def _header_line(metadata: Optional[dict]) -> str:
 
 
 def events_to_jsonl(
-    events: Iterable[Event], metadata: Optional[dict] = None
+    events: Iterable[Event],
+    metadata: Optional[dict] = None,
+    faults=None,
 ) -> str:
-    """Serialize events to the exact text a :class:`TraceWriter` emits.
+    """Serialize events to trace text: the one trace encoder.
 
     The archive stores this string's UTF-8 bytes as the trace blob, so
     a blob dumped to a file *is* a valid trace file and the blob digest
-    doubles as the trace's identity.
+    doubles as the trace's identity.  ``faults`` (a
+    :class:`~repro.faults.FaultInjector`) applies the write-time record
+    faults: each event draws :meth:`record_copies` once, in event
+    order, and its line is written 0, 1 or 2 times.
     """
     parts = [_header_line(metadata)]
-    parts.extend(json.dumps(e.to_dict()) + "\n" for e in events)
+    if faults is None:
+        parts.extend(json.dumps(e.to_dict()) + "\n" for e in events)
+    else:
+        for e in events:
+            copies = faults.record_copies()
+            if copies:
+                parts.append((json.dumps(e.to_dict()) + "\n") * copies)
     return "".join(parts)
 
 
@@ -147,130 +160,6 @@ def events_from_jsonl(
     )
 
 
-class TraceWriter:
-    """Buffered JSONL trace writer.
-
-    Opens ``path`` immediately and queues the header; event lines are
-    serialized eagerly but written in chunks of ``buffer_lines``.  A
-    path ending in ``.gz`` writes through a deterministic gzip stream.
-    Always use as a context manager (or call :meth:`close`)::
-
-        with TraceWriter(path, metadata={"program": name}) as writer:
-            writer.write_many(recorder.events)
-    """
-
-    def __init__(
-        self,
-        path: Union[str, Path],
-        metadata: dict | None = None,
-        buffer_lines: int = _BUFFER_LINES,
-        faults=None,
-    ):
-        self.path = Path(path)
-        self.count = 0
-        self.closed = False
-        self._buffer_lines = max(1, buffer_lines)
-        self._buf: list[str] = []
-        self._metrics = trace_metrics()
-        #: fault injector (see :mod:`repro.faults`), or None: decides
-        #: per record whether to drop/duplicate it, and whether to
-        #: truncate the finished file mid-line on close.
-        self._faults = faults
-        if self.path.suffix == ".gz":
-            # Deterministic gzip: mtime pinned to 0 and no filename in
-            # the member header, so identical events yield identical
-            # compressed bytes (digest-stable traces).
-            self._raw = self.path.open("wb")
-            # filename="" keeps the destination path out of the member
-            # header (GzipFile would otherwise embed fileobj.name).
-            self._gz = gzip.GzipFile(
-                filename="", fileobj=self._raw, mode="wb", mtime=0
-            )
-            self._fh = io.TextIOWrapper(self._gz, encoding="utf-8")
-        else:
-            self._raw = None
-            self._gz = None
-            self._fh = self.path.open("w", encoding="utf-8")
-        self._buf.append(_header_line(metadata))
-
-    def write(self, event: Event) -> None:
-        """Queue one event line (drains when the buffer fills)."""
-        if self.closed:
-            raise ValueError("write to closed TraceWriter")
-        copies = 1
-        if self._faults is not None:
-            copies = self._faults.record_copies()
-            if copies == 0:
-                return
-        buf = self._buf
-        line = json.dumps(event.to_dict()) + "\n"
-        for _ in range(copies):
-            buf.append(line)
-        self.count += copies
-        if len(buf) >= self._buffer_lines:
-            self._drain()
-
-    def write_many(self, events: Iterable[Event]) -> int:
-        """Queue a batch of events; returns how many were queued."""
-        n = 0
-        for event in events:
-            self.write(event)
-            n += 1
-        return n
-
-    def _drain(self) -> None:
-        if self._buf:
-            if self._metrics is not None:
-                self._metrics.writer_flushes.inc()
-                self._metrics.writer_lines.inc(len(self._buf))
-            self._fh.write("".join(self._buf))
-            self._buf.clear()
-
-    def flush(self) -> None:
-        """Drain the line buffer and flush the underlying file."""
-        self._drain()
-        self._fh.flush()
-        if self._raw is not None:
-            self._raw.flush()
-
-    def close(self) -> None:
-        """Drain, flush and close (idempotent)."""
-        if self.closed:
-            return
-        try:
-            self._drain()
-            self._fh.flush()
-        finally:
-            self.closed = True
-            # Closing the text wrapper closes the gzip member (writing
-            # its trailer); the raw handle is ours to close separately.
-            self._fh.close()
-            if self._raw is not None:
-                self._raw.close()
-        if self._faults is not None:
-            self._apply_truncation()
-
-    def _apply_truncation(self) -> None:
-        """Cut the closed file mid-stream if the fault plan says so.
-
-        Done on the raw bytes after the text handle is closed, so the
-        cut point is exact and usually lands inside a record line (or,
-        for gzip output, inside the compressed stream).
-        """
-        size = self.path.stat().st_size
-        cut = self._faults.truncate_at(size)
-        if cut is None or cut >= size:
-            return
-        with self.path.open("r+b") as fh:
-            fh.truncate(cut)
-
-    def __enter__(self) -> "TraceWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-
 def write_trace(
     path: Union[str, Path],
     events: Iterable[Event],
@@ -281,12 +170,21 @@ def write_trace(
 
     The first line is a header record with the format version and
     optional run metadata (program name, size, transport parameters...).
-    A ``.gz`` path writes deterministic gzip.  ``faults`` (a
-    :class:`~repro.faults.FaultInjector`) applies write-time record
-    faults -- see :class:`TraceWriter`.
+    A ``.gz`` path writes deterministic gzip (:func:`gzip_bytes`).
+    ``faults`` (a :class:`~repro.faults.FaultInjector`) drops and
+    duplicates records as :func:`events_to_jsonl` encodes them, then
+    cuts the finished bytes -- compressed ones for ``.gz`` -- at
+    :meth:`truncate_at`, usually mid-line, as a crashed writer would.
     """
-    with TraceWriter(path, metadata, faults=faults) as writer:
-        return writer.write_many(events)
+    path = Path(path)
+    events = list(events)
+    data = events_to_jsonl(events, metadata, faults).encode("utf-8")
+    if path.suffix == ".gz":
+        data = gzip_bytes(data)
+    if faults is not None:
+        data = data[: faults.truncate_at(len(data))]
+    path.write_bytes(data)
+    return len(events)
 
 
 def read_trace(
@@ -305,9 +203,12 @@ def read_trace(
     it -- the signature of a file truncated mid-record -- is treated as
     the end of the trace: everything before the cut is returned and
     ``metadata["truncated"]`` is set; a gzip stream truncated mid-file
-    is recovered the same way from whatever decompresses cleanly.
-    Mid-file corruption (bad line followed by more records) still
-    raises, so salvage never silently papers over structural damage.
+    is recovered the same way from whatever decompresses cleanly.  An
+    empty file, or a lone first line that is a cut-off encoder header,
+    salvages to no events with only ``truncated`` set.  Any other bad
+    header, and mid-file corruption (bad line followed by more
+    records), still raise, so salvage never silently papers over
+    structural damage.
     When both flags are given, a trailing truncation is classified as
     ``truncated`` (not as a skipped line): the two report different
     facts about the file.
@@ -363,10 +264,19 @@ def _parse_trace_text(
     skipped = 0
     truncated = False
     if not all_lines:
+        if salvage:
+            return events, {"truncated": True}
         raise TraceFormatError(path, "empty trace file")
     try:
         header = json.loads(all_lines[0])
     except json.JSONDecodeError as exc:
+        first = all_lines[0]
+        if salvage and len(all_lines) == 1 and (
+            first.startswith(_HEADER_OPENING)
+            or _HEADER_OPENING.startswith(first)
+        ):
+            # the cut landed inside the header line
+            return events, {"truncated": True}
         raise TraceFormatError(
             path, f"corrupt header: {exc}", lineno=1
         ) from exc

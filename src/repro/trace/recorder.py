@@ -19,20 +19,13 @@ perfectly non-intrusive (the ideal the paper asks tools to approach);
 benchmarks set it non-zero to study how instrumentation overhead
 distorts program behaviour (paper chapter 2).
 
-A recorder can stream to a sink (a :class:`repro.trace.io.TraceWriter`)
-via :meth:`attach_sink`/:meth:`flush`/:meth:`close`, and works as a
-context manager so buffered output reaches disk even when the
-simulation crashes::
-
-    recorder.attach_sink(TraceWriter(path))
-    with recorder:
-        run()   # events flushed + sink closed on exit, crash or not
+The collected events are persisted with :func:`repro.trace.io.write_trace`.
 """
 
 from __future__ import annotations
 
 from sys import intern as _intern
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import Iterable
 
 from ..obs.instruments import trace_metrics
 from .events import (
@@ -47,10 +40,6 @@ from .events import (
     Recv,
     Send,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .io import TraceWriter
-
 
 class TraceError(Exception):
     """Malformed instrumentation (unbalanced enter/exit etc.)."""
@@ -85,10 +74,6 @@ class TraceRecorder:
         #: runtime; the analyzer needs it to localize collective waits.
         self.comm_registry: dict[int, tuple[int, ...]] = {}
         self.enabled = True
-        #: streaming sink (see :meth:`attach_sink`) and the number of
-        #: events already handed to it.
-        self._sink: Optional["TraceWriter"] = None
-        self._flushed = 0
 
     # ------------------------------------------------------------------
     # call-path bookkeeping
@@ -270,68 +255,6 @@ class TraceRecorder:
     def register_comm(self, comm_id: int, ranks: Iterable[int]) -> None:
         """Record the global ranks that make up a communicator."""
         self.comm_registry[comm_id] = tuple(ranks)
-
-    # ------------------------------------------------------------------
-    # streaming / lifecycle
-    # ------------------------------------------------------------------
-
-    def attach_sink(self, sink: "TraceWriter") -> None:
-        """Stream events to ``sink`` on :meth:`flush`/:meth:`close`.
-
-        Only events recorded after the last flush are written, so
-        attaching mid-run is safe and flushing is idempotent.
-        """
-        if self._sink is not None and self._sink is not sink:
-            raise TraceError("recorder already has a sink attached")
-        self._sink = sink
-
-    def flush(self) -> int:
-        """Hand all not-yet-written events to the sink; returns count.
-
-        No-op (returning 0) without an attached sink.  The sink's own
-        buffer is flushed too, so everything recorded so far is on disk
-        afterwards.
-        """
-        sink = self._sink
-        if sink is None:
-            return 0
-        events = self.events
-        end = len(events)
-        start = self._flushed
-        if start < end:
-            sink.write_many(events[start:end])
-            self._flushed = end
-        sink.flush()
-        return end - start
-
-    def close(self) -> None:
-        """Flush remaining events and close the sink (idempotent)."""
-        sink = self._sink
-        if sink is None:
-            return
-        self.flush()
-        sink.close()
-
-    def dump(self, path, metadata: dict | None = None, faults=None) -> int:
-        """Write all collected events to ``path``; returns event count.
-
-        One-shot alternative to the streaming sink.  ``faults`` (a
-        :class:`~repro.faults.FaultInjector`) applies write-time record
-        faults -- drop, duplication, truncation -- so a clean recording
-        can be persisted as a deliberately damaged trace file.
-        """
-        from .io import write_trace
-
-        return write_trace(path, self.events, metadata=metadata,
-                           faults=faults)
-
-    def __enter__(self) -> "TraceRecorder":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        # Close on the way out *whatever* happened: buffered tail
-        # events must not be lost when the simulation crashes.
-        self.close()
 
     # ------------------------------------------------------------------
     # inspection

@@ -15,9 +15,10 @@ noisy run:
 
 1. execute the program with the scaled plan's runtime perturbations
    (stragglers, jitter, latency noise, reorder) active,
-2. if the plan carries trace faults, round-trip the trace through a
-   fault-injecting :class:`~repro.trace.io.TraceWriter` and read it
-   back with ``skip_bad_lines`` + ``salvage`` (the recovery path),
+2. if the plan carries trace faults, round-trip the trace through
+   :func:`~repro.trace.io.write_trace` with the fault injector and
+   read it back with ``skip_bad_lines`` + ``salvage`` (the recovery
+   path),
 3. analyze; this module then compares against the registry ground
    truth.
 
@@ -257,36 +258,15 @@ def _build_cell(
     salvaged: bool = False,
     families: Tuple[str, ...] = ("rule",),
 ) -> RobustnessCell:
-    tolerated = tuple(
-        sorted(set(spec.allowed) | set(GLOBALLY_ALLOWED))
-    )
-    expected = spec.expected
-    if "similarity" in families:
-        # The statistical family is graded through the class taxonomy:
-        # every statistical property whose covered classes intersect
-        # the registry ground truth becomes expected, so its TP/FP
-        # curves are as well-defined as the rule-based ones.  On
-        # *positive* programs the remaining statistical ids are
-        # tolerated -- a statistical anomaly flag on a run that is
-        # pathological by construction is correct at the family's
-        # granularity -- while on negative programs no statistical id
-        # is allowed, so false alarms are measured honestly.
-        from ..stats import (
-            SIMILARITY_PROPERTY_IDS,
-            statistical_expectations,
-        )
+    from ..stats import grade_cell
 
-        expected = tuple(
-            sorted(set(expected) | set(statistical_expectations(expected)))
-        )
-        if not spec.negative:
-            tolerated = tuple(
-                sorted(
-                    set(tolerated)
-                    | (set(SIMILARITY_PROPERTY_IDS) - set(expected))
-                )
-            )
     detected = tuple(detected)
+    expected, tolerated, missing, spurious = grade_cell(
+        spec.expected,
+        set(spec.allowed) | set(GLOBALLY_ALLOWED),
+        detected,
+        families,
+    )
     return RobustnessCell(
         program=spec.name,
         paradigm=spec.paradigm,
@@ -295,12 +275,8 @@ def _build_cell(
         seed=seed,
         expected=expected,
         detected=detected,
-        missing=tuple(p for p in expected if p not in detected),
-        spurious=tuple(
-            p
-            for p in detected
-            if p not in expected and p not in tolerated
-        ),
+        missing=missing,
+        spurious=spurious,
         allowed=tolerated,
         events=events,
         error=error,

@@ -1,7 +1,10 @@
 """Robustness harness: magnitude-0 parity, determinism, curve math."""
 
+import json
+
 import pytest
 
+from repro.cli import main
 from repro.core.registry import get_property
 from repro.faults import FaultPlan, TimingJitter
 from repro.validation import (
@@ -99,3 +102,26 @@ def test_custom_plan_and_validation():
         run_robustness(specs=SPECS, magnitudes=())
     with pytest.raises(ValueError):
         run_robustness(specs=SPECS, seeds=())
+
+
+def test_header_cut_sweep_is_byte_identical(tmp_path, capsys):
+    # Magnitude 20 scales the default plan's truncation to its cap, so
+    # the cut lands inside the header line.  The cell must salvage to
+    # no events rather than fail with the sweep's random temp path in
+    # its error text, which made two identical sweeps differ.
+    outs = []
+    for name in ("a.json", "b.json"):
+        out = tmp_path / name
+        assert main([
+            "robustness", "--program", "late_sender",
+            "--magnitudes", "0,20", "--seeds", "1", "--size", "4",
+            "--threads", "2", "--json", str(out),
+        ]) == 0
+        outs.append(out.read_bytes())
+    capsys.readouterr()
+    assert outs[0] == outs[1]
+    cut = json.loads(outs[0])["cells"][1]
+    assert cut["magnitude"] == 20
+    assert cut["error"] is None
+    assert cut["salvaged"] is True
+    assert cut["events"] == 0

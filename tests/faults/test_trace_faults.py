@@ -1,5 +1,7 @@
 """Write-time trace faults and the salvage recovery path."""
 
+import hashlib
+
 import pytest
 
 from repro.core.registry import get_property
@@ -104,17 +106,51 @@ def test_trace_faults_deterministic(tmp_path, events):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_recorder_dump_applies_faults(tmp_path):
-    run = get_property("late_sender").run(size=4, num_threads=2, seed=0)
-    path = tmp_path / "dumped.jsonl"
-    run.recorder.dump(
-        path,
-        metadata={"program": "late_sender"},
-        faults=_faulty(FaultPlan.of(DropRecords(0.3))),
+def test_trace_faults_golden_digest(tmp_path, events):
+    # Pins the record-fault draw order and the truncation cut: the same
+    # events, plan and seed must always give exactly these bytes.
+    plan = FaultPlan.of(
+        DropRecords(0.1), DuplicateRecords(0.1), TruncateTrace(0.1)
     )
-    kept, metadata = read_trace(path)
-    assert 0 < len(kept) < len(run.events)
-    assert metadata["program"] == "late_sender"
+    path = tmp_path / "t.jsonl"
+    n = write_trace(
+        path,
+        events,
+        metadata={"program": "late_sender"},
+        faults=_faulty(plan, seed=4),
+    )
+    data = path.read_bytes()
+    assert n == len(events) == 84
+    assert len(data) == 8579
+    assert hashlib.sha256(data).hexdigest() == (
+        "7ef6a1589343f7c74be92b4133aa5a516f7f9d2006d0128fbe42670726e389e2"
+    )
+
+
+@pytest.mark.parametrize("keep", [0, 1, 9, 36, 60])
+def test_salvage_reads_a_cut_header_as_truncated(tmp_path, events, keep):
+    # a cut inside the header line, which opens with the 36 bytes
+    # '{"format": "ats-trace", "version": 1': an empty file, a prefix
+    # of that opening, or a line extending it
+    path = tmp_path / "t.jsonl"
+    write_trace(path, events, metadata={"program": "late_sender"})
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(
+        TraceFormatError, match="empty trace file|corrupt header"
+    ):
+        read_trace(path)
+    for skip in (False, True):
+        assert read_trace(path, skip_bad_lines=skip, salvage=True) == (
+            [],
+            {"truncated": True},
+        )
+
+
+def test_salvage_still_rejects_a_foreign_header(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"format": "other-trace"')
+    with pytest.raises(TraceFormatError, match="corrupt header"):
+        read_trace(path, salvage=True)
 
 
 def test_no_faults_means_untouched_trace(tmp_path, events):

@@ -8,7 +8,6 @@ from repro.obs import (
     get_registry,
     kernel_metrics,
     metrics_enabled,
-    null_registry,
     reset_metrics,
     set_metrics_enabled,
     span,
@@ -17,7 +16,6 @@ from repro.obs import (
     trace_metrics,
     transport_metrics,
 )
-from repro.obs.metrics import NOOP_METRIC
 from repro.obs.spans import _NOOP_SPAN
 
 
@@ -85,15 +83,6 @@ def test_enabled_bundles_are_cached_per_registry():
     # a fresh registry gets a fresh bundle
     first = transport_metrics()
     assert first is transport_metrics()
-
-
-def test_null_registry_hands_out_shared_noop():
-    reg = null_registry()
-    assert reg.counter("x", "h") is NOOP_METRIC
-    assert reg.histogram("y", "h").labels(a="b") is NOOP_METRIC
-    NOOP_METRIC.inc()
-    NOOP_METRIC.observe(3.0)  # no state, no error
-    assert reg.collect() == []
 
 
 def test_disabled_span_is_shared_singleton():

@@ -7,7 +7,6 @@ import pytest
 from repro.trace import (
     TraceFormatError,
     TraceRecorder,
-    TraceWriter,
     read_trace,
     write_trace,
 )
@@ -99,18 +98,14 @@ def test_truncated_gzip_salvages(tmp_path):
     assert 0 < len(events) < len(rec.events)
 
 
-def test_gzip_writer_flush_midstream_is_readable(tmp_path):
+def test_gz_trace_and_archive_share_one_codec(tmp_path):
+    # A .jsonl.gz trace file is exactly the archive's blob encoding:
+    # one encoder, one deterministic gzip.
     rec = TraceRecorder()
     _record_some(rec)
+    meta = {"program": "x", "seed": 0}
     path = tmp_path / "t.jsonl.gz"
-    writer = TraceWriter(path, buffer_lines=1)
-    writer.write_many(rec.events[:4])
-    writer.flush()
-    # A flushed-but-unclosed gzip stream salvages up to the flush.
-    events, metadata = read_trace(path, salvage=True)
-    assert metadata.get("truncated") is True
-    assert len(events) == 4
-    writer.write_many(rec.events[4:])
-    writer.close()
-    events, _ = read_trace(path)
-    assert len(events) == len(rec.events)
+    write_trace(path, rec.events, meta)
+    assert path.read_bytes() == gzip_bytes(
+        events_to_jsonl(rec.events, meta).encode("utf-8")
+    )
