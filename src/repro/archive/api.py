@@ -22,7 +22,6 @@ from ..analysis.compare import ComparisonReport, compare_analyses
 from ..analysis.model import AnalysisResult
 from ..core.registry import DistParam, PropertySpec
 from ..obs.instruments import archive_metrics
-from ..simkernel.process import run_host_tasks
 from ..trace.events import Event
 from ..trace.io import events_to_jsonl, gzip_bytes
 from .cache import CacheStats, analyze_archived
@@ -308,39 +307,23 @@ class Archive:
         runs: Optional[Sequence[Union[str, ArchivedRun]]] = None,
         detectors: Optional[Sequence] = None,
         stats: Optional[CacheStats] = None,
-        parallel: bool = False,
-        max_workers: int = 8,
     ) -> Dict[str, AnalysisResult]:
-        """Batch analysis; optionally fanned out over the worker pool.
+        """Batch analysis: ``run_id -> AnalysisResult`` in run order.
 
-        ``runs`` defaults to the whole history.  Results come back as
-        ``run_id -> AnalysisResult`` in run order either way --
-        parallel mode only overlaps the blob I/O/decompression, the
-        outputs are identical to serial.
+        ``runs`` defaults to the whole history.
         """
         resolved = [
             self.resolve(r) if isinstance(r, str) else r
             for r in (self.history() if runs is None else runs)
         ]
-
-        def task(run: ArchivedRun):
-            return analyze_archived(
+        return {
+            run.run_id: analyze_archived(
                 self.store,
                 run.to_payload(),
                 detectors=detectors,
                 stats=stats,
             )
-
-        if parallel and len(resolved) > 1:
-            results = run_host_tasks(
-                [lambda run=run: task(run) for run in resolved],
-                max_workers=max_workers,
-            )
-        else:
-            results = [task(run) for run in resolved]
-        return {
-            run.run_id: result
-            for run, result in zip(resolved, results)
+            for run in resolved
         }
 
     # ------------------------------------------------------------------

@@ -1038,12 +1038,7 @@ def cmd_archive_analyze(args: argparse.Namespace) -> int:
                     f"archive {arch.root} is empty; record runs with "
                     "'ats archive run' first"
                 )
-            results = arch.analyze_many(
-                runs,
-                stats=stats,
-                parallel=args.parallel,
-                max_workers=args.workers,
-            )
+            results = arch.analyze_many(runs, stats=stats)
         except ArchiveError as exc:
             raise CliError(str(exc)) from None
     for run in runs:
@@ -1702,9 +1697,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="run ids or unique prefixes (default: all)")
     _add_archive_option(pa)
     pa.add_argument("--threshold", type=float, default=0.005)
-    pa.add_argument("--parallel", action="store_true",
-                    help="fan the batch out over the worker pool")
-    pa.add_argument("--workers", type=int, default=8)
     pa.set_defaults(fn=cmd_archive_analyze)
 
     pa = asub.add_parser(

@@ -22,8 +22,8 @@ from .metrics import (
     quantile_from_counts,
 )
 
-#: quantiles derived into every histogram's JSON sample; the service's
-#: latency reporting and BENCH_SERVICE.json read these same fields
+#: quantiles derived into every histogram's JSON sample (the JSON
+#: metrics dump and the service's ``/metrics.json``)
 SNAPSHOT_QUANTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))
 
 __all__ = [

@@ -53,8 +53,7 @@ _DEPTH_BUCKETS = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256)
 #: virtual-seconds latency buckets (transport latency is ~5us)
 _VSEC_BUCKETS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 #: host wall-clock latency buckets for service endpoints; the fine
-#: 1-50ms region is where warm-cache analyzes land, and the service
-#: bench derives its p99 bar from these edges
+#: 1-50ms region is where warm-cache analyzes land
 _WALL_BUCKETS = (
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
     0.1, 0.25, 0.5, 1.0, 2.5, 10.0,
@@ -418,8 +417,8 @@ class ServiceMetrics:
     """Analysis-service instruments (see :mod:`repro.service`).
 
     Per-endpoint request latency is a labeled histogram over
-    ``_WALL_BUCKETS``; ``/status`` and ``BENCH_SERVICE.json`` derive
-    p50/p99 from it via :meth:`Histogram.quantile`.  ``queue_depth``
+    ``_WALL_BUCKETS``; ``/status`` derives p50/p99 from it via
+    :meth:`Histogram.quantile`.  ``queue_depth``
     and ``inflight`` are gauges maintained by the job queue;
     ``coalesced`` counts submissions deduplicated onto an in-flight
     identical job, ``executed`` the jobs that actually computed.

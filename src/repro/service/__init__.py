@@ -21,11 +21,11 @@ while it runs.  The layers, bottom up:
   ``/metrics``, ``/metrics.json``, ``/drain``);
 * :mod:`~repro.service.dashboard` -- the ``ats watch`` terminal view
   and the self-refreshing HTML status page;
-* :mod:`~repro.service.client` -- the urllib client the CLI, bench
-  and tests use.
+* :mod:`~repro.service.client` -- the urllib client the CLI and tests
+  use.
 
 Durability (``--state-dir``): :mod:`~repro.service.journal` appends
-every accepted job and state transition to an fsync'd journal;
+every accepted job and its terminal state to an fsync'd journal;
 :meth:`AnalysisService._recover` replays it after a restart (restore
 terminal jobs, requeue interrupted ones through the checkpoint/resume
 path, orphan the unresolvable); :mod:`~repro.service.breaker` evicts

@@ -1,6 +1,6 @@
 """A tiny urllib client for the analysis service.
 
-Used by ``ats submit``/``ats watch``, the load bench and the tests --
+Used by ``ats submit``/``ats watch`` and the tests --
 anything that talks to a running ``ats serve`` without pulling in a
 third-party HTTP library.  Every method returns the decoded JSON
 payload; non-2xx responses raise :class:`ServiceHTTPError` carrying

@@ -22,10 +22,10 @@ keep-alive), and a small route table over
 
 Submissions return ``202 {"job": ...}`` immediately; with
 ``wait`` truthy (query string or body) the response blocks until the
-job resolves and carries the result inline -- that is how the load
-bench measures end-to-end latency without poll noise.  Rate-limited
-tenants get ``429`` with a ``Retry-After`` header; a draining service
-answers ``503`` to every submission.
+job resolves and carries the result inline -- that is how perfbench's
+service workload measures end-to-end latency without poll noise.
+Rate-limited tenants get ``429`` with a ``Retry-After`` header; a
+draining service answers ``503`` to every submission.
 
 Every request gets a request id (``X-Request-Id`` header in and out,
 generated when absent) that the service propagates into job records
@@ -33,7 +33,7 @@ and obs spans -- the tracing thread that ties an HTTP accept to its
 executor cell and archive cache activity.
 
 :func:`run_service_in_thread` runs the whole loop on a daemon thread
-and returns a handle with the bound port -- how tests, the bench and
+and returns a handle with the bound port -- how tests and
 ``ats serve --watch`` host the server without blocking.
 """
 
@@ -475,7 +475,7 @@ class ServiceHTTP:
 
 
 class ServiceHandle:
-    """A service running on a background thread (tests, bench, CLI)."""
+    """A service running on a background thread (tests, CLI)."""
 
     def __init__(self, http: ServiceHTTP, loop, thread):
         self.http = http

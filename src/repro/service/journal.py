@@ -1,14 +1,17 @@
 """The durable job journal behind ``ats serve --state-dir``.
 
-Every job the service *acknowledges* is journaled -- spec first, then
-each state transition -- through the same append-only, partial-tail
--healing machinery supervised sweeps checkpoint with
+Every job the service *acknowledges* is journaled -- its spec when it
+is accepted, then its terminal state -- through the same append-only,
+partial-tail-healing machinery supervised sweeps checkpoint with
 (:class:`repro.resilience.checkpoint.CheckpointJournal`), under its own
 format name and with ``fsync`` on: a record is forced to stable
 storage before the submission is answered, so "the client got a job
-id" implies "a restart will still know about that job".
+id" implies "a restart will still know about that job".  The start of
+execution is not journaled: recovery re-enqueues a queued job and an
+interrupted running one alike.  ``running`` records that older
+journals hold still load and are treated as ``queued``.
 
-One line per transition, keyed by job id; the journal's last-wins
+One line per record, keyed by job id; the journal's last-wins
 replay semantics mean :meth:`load` yields each job's most recent
 state in original acceptance order.  Specs are sanitized before
 journaling: resolved runtime objects (the ``_``-prefixed params the

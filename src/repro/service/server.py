@@ -459,12 +459,6 @@ class AnalysisService:
                 self._expire_locked(job)
                 continue
             job.mark_running()
-            try:
-                self._journal_state(job)
-            except OSError:
-                # The accept record is already durable; a failed
-                # running-transition write must not kill the job.
-                pass
             self._inflight += 1
             wait = job.queue_wait() or 0.0
             if metrics is not None:
@@ -833,13 +827,24 @@ class AnalysisService:
             return self._jobs.get(job_id)
 
     def _remember(self, job: Job) -> None:
+        """Register ``job``, evicting the oldest finished jobs over the cap.
+
+        Unfinished jobs are skipped, never evicted, so one long job at
+        the head of the table does not stop eviction behind it.
+        """
         self._jobs[job.id] = job
-        while len(self._jobs) > self.MAX_FINISHED_JOBS:
-            oldest_id, oldest = next(iter(self._jobs.items()))
-            if not oldest.done:
-                break
-            del self._jobs[oldest_id]
-            self._campaigns.pop(oldest_id, None)
+        excess = len(self._jobs) - self.MAX_FINISHED_JOBS
+        if excess <= 0:
+            return
+        evict = []
+        for held_id, held in self._jobs.items():
+            if held.done:
+                evict.append(held_id)
+                if len(evict) == excess:
+                    break
+        for held_id in evict:
+            del self._jobs[held_id]
+            self._campaigns.pop(held_id, None)
 
     def _count(self, name: str) -> None:
         with self._lock:

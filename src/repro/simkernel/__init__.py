@@ -21,7 +21,6 @@ from .process import (
     WorkerPool,
     current_process,
     maybe_current_process,
-    run_host_tasks,
     submit_host_task,
     worker_pool,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "maybe_current_process",
     "now",
     "passivate",
-    "run_host_tasks",
     "submit_host_task",
     "worker_pool",
 ]

@@ -358,44 +358,21 @@ class SimProcess:
 
 
 # ----------------------------------------------------------------------
-# host-side task fan-out on the pooled workers
+# host-side tasks on the pooled workers
 # ----------------------------------------------------------------------
-
-class _HostBatch:
-    """Stands in for a ``Simulator`` from the worker loop's viewpoint.
-
-    A finished host task's worker calls ``sim._dispatch_onward()`` (or
-    ``sim._report_failure()`` for a crashed one); both just release the
-    batch's completion semaphore.  ``_tearing_down`` is always False:
-    host tasks are never force-killed.
-    """
-
-    __slots__ = ("_done",)
-
-    _tearing_down = False
-
-    def __init__(self) -> None:
-        self._done = threading.Semaphore(0)
-
-    def _dispatch_onward(self) -> None:
-        self._done.release()
-
-    def _report_failure(self, task: "_HostTask") -> None:
-        self._done.release()
-
 
 class _HostTask:
     """A plain callable dressed as a process for the worker loop.
 
     Unlike a :class:`SimProcess` it never touches virtual time, never
     blocks on kernel primitives and does not publish itself as the
-    thread's current process -- it is ordinary host-side work (archive
-    batch analysis, for instance) borrowing a pooled OS thread.
+    thread's current process -- it is ordinary host-side work (a
+    service job, for instance) borrowing a pooled OS thread.
     """
 
     __slots__ = ("sim", "_fn", "result", "exception", "state")
 
-    def __init__(self, batch: _HostBatch, fn: Callable[[], Any]):
+    def __init__(self, batch: "_CallbackBatch", fn: Callable[[], Any]):
         self.sim = batch
         self._fn = fn
         self.result: Any = None
@@ -406,19 +383,21 @@ class _HostTask:
         try:
             self.result = self._fn()
             self.state = ProcState.FINISHED
-        except BaseException as exc:  # noqa: BLE001 - re-raised at join
+        except BaseException as exc:  # noqa: BLE001 - handed to on_done
             self.exception = exc
             self.state = ProcState.FAILED
 
 
 class _CallbackBatch:
-    """Batch stand-in for a single fire-and-forget host task.
+    """Stands in for a ``Simulator`` for one fire-and-forget host task.
 
-    Instead of releasing a semaphore a joiner waits on, completion
-    invokes a caller-supplied callback **on the worker thread** -- the
-    hook :func:`submit_host_task` builds on to bridge pooled workers to
+    A finished task's worker calls ``sim._dispatch_onward()`` (or
+    ``sim._report_failure()`` for a crashed one); both invoke a
+    caller-supplied callback **on the worker thread** -- the hook
+    :func:`submit_host_task` builds on to bridge pooled workers to
     event loops (the analysis service resolves asyncio futures from the
-    callback via ``loop.call_soon_threadsafe``).
+    callback via ``loop.call_soon_threadsafe``).  ``_tearing_down`` is
+    always False: host tasks are never force-killed.
     """
 
     __slots__ = ("_task", "_on_done")
@@ -450,9 +429,9 @@ def submit_host_task(
     worker's loop.  Event-loop callers should do nothing but hand the
     task back to their loop (``loop.call_soon_threadsafe``).
 
-    Like :func:`run_host_tasks` this must not be called from inside a
-    simulated process, and the work runs under the GIL -- it overlaps
-    blocking I/O, not pure-Python compute.
+    This must not be called from inside a simulated process, and the
+    work runs under the GIL -- it overlaps blocking I/O, not pure-Python
+    compute.
     """
     if maybe_current_process() is not None:
         raise NotInProcessError(
@@ -465,50 +444,3 @@ def submit_host_task(
     worker = _pool._obtain(task)
     worker._resume.release()
     return task
-
-
-def run_host_tasks(
-    fns,
-    max_workers: int = 8,
-) -> list:
-    """Run host-side callables on pooled worker threads; ordered results.
-
-    Fans the zero-argument callables out over the process-global
-    :class:`WorkerPool` (reusing parked simulation workers, creating
-    more only as needed), keeps at most ``max_workers`` in flight, and
-    returns their results **in submission order** -- so a batch over a
-    sorted work list is deterministic regardless of completion order.
-    The first task exception (again in submission order) is re-raised
-    after the whole batch has drained.
-
-    This is plain threading under the GIL: it overlaps the I/O and
-    zlib portions of blob-heavy work (both release the GIL), not pure
-    Python compute.  Must not be called from inside a simulated
-    process.
-    """
-    fns = list(fns)
-    if not fns:
-        return []
-    if max_workers < 1:
-        raise ValueError("max_workers must be >= 1")
-    if maybe_current_process() is not None:
-        raise NotInProcessError(
-            "run_host_tasks cannot be used from inside a simulation"
-        )
-    batch = _HostBatch()
-    tasks = [_HostTask(batch, fn) for fn in fns]
-    in_flight = 0
-    for task in tasks:
-        if in_flight >= max_workers:
-            batch._done.acquire()
-            in_flight -= 1
-        task.state = ProcState.RUNNING
-        worker = _pool._obtain(task)
-        worker._resume.release()
-        in_flight += 1
-    for _ in range(in_flight):
-        batch._done.acquire()
-    for task in tasks:
-        if task.exception is not None:
-            raise task.exception
-    return [task.result for task in tasks]

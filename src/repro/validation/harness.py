@@ -184,7 +184,6 @@ def validate_spec(
     records each executed run's trace in the archive, so a matrix pass
     doubles as baseline collection for ``ats diff``.
     """
-    tool = tool or default_tool()
     run = spec.run(
         size=size,
         num_threads=num_threads,
@@ -208,13 +207,17 @@ def validate_spec(
                 transport.eager_threshold if transport is not None else None
             ),
         )
-    detected = tuple(tool(run))
+    # One analysis serves severity, localization and, with no tool
+    # given, the verdict of the bundled analyzer (``default_tool``).
+    analysis = analyze_run(run)
+    detected = tuple(
+        analysis.detected(0.01) if tool is None else tool(run)
+    )
     tolerated = set(spec.expected) | set(spec.allowed) | set(
         GLOBALLY_ALLOWED
     )
     missing = tuple(p for p in spec.expected if p not in detected)
     spurious = tuple(p for p in detected if p not in tolerated)
-    analysis = analyze_run(run)
     severity = sum(
         analysis.severity(property=p) for p in spec.expected
     )

@@ -1,8 +1,7 @@
 """Fork-per-cell task executor: true multicore fan-out for sweeps.
 
 Sweep, matrix and robustness cells are independent and deterministic,
-but they are pure-Python compute, so the thread fan-out in
-:func:`repro.simkernel.process.run_host_tasks` cannot parallelize them
+but they are pure-Python compute, so threads cannot parallelize them
 -- the GIL serializes everything that is not I/O.  This module escapes
 the GIL the classic POSIX way: ``os.fork`` one child per task.
 

@@ -13,7 +13,7 @@ from repro.archive import (
     detector_fingerprint,
     result_to_json_bytes,
 )
-from repro.core import get_property
+from repro.core import get_property, list_properties
 from repro.trace.io import events_from_jsonl
 
 
@@ -70,6 +70,23 @@ class _TunableDetector:
 
     def detect(self, index, config):
         return []
+
+
+def test_registry_warm_pass_hits_every_cell_and_matches_fresh(tmp_path):
+    archive = Archive(tmp_path)
+    specs = list_properties()
+    for spec in specs:
+        archive.archive_run(spec, size=4, num_threads=2)
+    archive.analyze_many()  # cold pass populates every cell
+
+    warm = CacheStats()
+    results = archive.analyze_many(stats=warm)
+    assert warm.hits == len(specs) * (len(DEFAULT_DETECTORS) + 1)
+    assert warm.misses == 0
+    for run in archive.history():
+        assert result_to_json_bytes(results[run.run_id]) == (
+            result_to_json_bytes(_fresh_reference(archive, run))
+        ), run.program
 
 
 def test_detector_change_recomputes_only_its_cell(tmp_path, spec):

@@ -3,13 +3,12 @@
 The archive's dedupe and the diff gate both assume that one
 ``(program, params, size, threads, seed, plan)`` identity always
 produces the same trace blob, regardless of incidental process state:
-how many pooled workers exist, whether metrics are on, whether the
-batch analyzer ran serial or parallel.
+how many pooled workers exist or whether metrics are on.
 """
 
-from repro.archive import Archive, result_to_json_bytes
+from repro.archive import Archive
 from repro.core import get_property
-from repro.simkernel import run_host_tasks, worker_pool
+from repro.simkernel import worker_pool
 
 
 def _archive_once(root, seed=7):
@@ -21,8 +20,8 @@ def _archive_once(root, seed=7):
 def test_trace_digest_stable_across_pool_sizes(tmp_path):
     worker_pool().drain()  # cold pool: workers created on demand
     a = _archive_once(tmp_path / "a")
-    # Pre-warm a large pool by running a throwaway parallel batch.
-    run_host_tasks([lambda i=i: i for i in range(16)], max_workers=16)
+    # Grow the pool past the 4-rank run's needs with a 16-rank run.
+    get_property("late_sender").run(size=16)
     b = _archive_once(tmp_path / "b")
     assert a.run_id == b.run_id
     assert a.trace_digest == b.trace_digest
@@ -40,36 +39,6 @@ def test_trace_digest_stable_under_metrics(tmp_path):
         set_metrics_enabled(False)
         reset_metrics()
     assert a.trace_digest == b.trace_digest
-
-
-def test_parallel_batch_equals_serial(tmp_path):
-    archive = Archive(tmp_path)
-    for name in ("late_sender", "late_broadcast", "early_reduce"):
-        archive.archive_run(get_property(name), size=4, seed=1)
-    serial = archive.analyze_many(parallel=False)
-    parallel = archive.analyze_many(parallel=True, max_workers=4)
-    assert list(serial) == list(parallel)
-    for run_id in serial:
-        assert result_to_json_bytes(serial[run_id]) == (
-            result_to_json_bytes(parallel[run_id])
-        )
-
-
-def test_run_host_tasks_orders_results_and_raises_first_error():
-    import pytest
-
-    results = run_host_tasks(
-        [lambda i=i: i * i for i in range(20)], max_workers=3
-    )
-    assert results == [i * i for i in range(20)]
-
-    def boom():
-        raise ValueError("task 3 failed")
-
-    fns = [lambda i=i: i for i in range(6)]
-    fns[3] = boom
-    with pytest.raises(ValueError, match="task 3 failed"):
-        run_host_tasks(fns, max_workers=2)
 
 
 def test_rearchiving_is_idempotent(tmp_path):

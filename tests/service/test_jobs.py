@@ -83,7 +83,8 @@ def service(tmp_path):
     run = archive.archive_run(
         get_property("late_sender"), size=4, num_threads=2, seed=1
     )
-    svc = AnalysisService(archive, max_workers=1)
+    # a burst above the default lets 1000 identical submits through
+    svc = AnalysisService(archive, max_workers=1, burst=4096)
     svc.seeded_run = run
     return svc
 
@@ -108,7 +109,8 @@ def test_unknown_property_rejected_at_submit(service):
         service.submit("run", {"property": "nope"})
 
 
-def test_concurrent_identical_analyzes_coalesce(service):
+@pytest.mark.parametrize("n", [6, 1000])
+def test_concurrent_identical_analyzes_coalesce(service, n):
     """N identical in-flight analyzes -> one executor cell."""
     gate = threading.Event()
     # occupy the single worker so submissions pile up deterministically
@@ -116,19 +118,19 @@ def test_concurrent_identical_analyzes_coalesce(service):
     blocker, _ = service.submit("history", {})
 
     ref = service.seeded_run.run_id
-    jobs = [service.submit("analyze", {"run": ref}) for _ in range(6)]
+    jobs = [service.submit("analyze", {"run": ref}) for _ in range(n)]
     primaries = {job.id for job, _ in jobs}
     assert len(primaries) == 1, "identical submissions made new jobs"
-    assert [c for _, c in jobs] == [False] + [True] * 5
+    assert [c for _, c in jobs] == [False] + [True] * (n - 1)
     primary = jobs[0][0]
-    assert primary.coalesced == 5
+    assert primary.coalesced == n - 1
 
     executed_before = service.counts["executed"]
     gate.set()
     assert blocker.wait(30) and primary.wait(30)
     # exactly two computations ran: the blocker and ONE analyze
     assert service.counts["executed"] == executed_before + 2
-    assert service.counts["coalesced"] == 5
+    assert service.counts["coalesced"] == n - 1
     # every waiter reads the same result object
     assert primary.result["detected"]
 
@@ -141,6 +143,26 @@ def test_coalescing_does_not_join_resolved_jobs(service):
     assert not coalesced
     assert second.id != first.id
     assert second.wait(30)
+
+
+def test_unfinished_head_job_does_not_stop_eviction(tmp_path):
+    """Finished jobs behind a long-running one are still evicted."""
+    svc = AnalysisService(Archive(tmp_path / "archive"), max_workers=2)
+    svc.MAX_FINISHED_JOBS = 50
+    gate = threading.Event()
+    svc._job_history = lambda job: gate.wait(30) or {"count": 0}
+    held, _ = svc.submit("history", {})
+    try:
+        for seed in range(300):
+            job, _ = svc.submit(
+                "run", {"property": "late_sender", "size": 2, "seed": seed}
+            )
+            assert job.wait(30) and job.state == "done", job.error
+        assert len(svc._jobs) == 50
+        assert svc.get_job(held.id) is held
+    finally:
+        gate.set()
+    assert held.wait(30)
 
 
 def test_rate_limited_submission_raises(tmp_path):

@@ -6,6 +6,7 @@ subprocess version of the same contract lives in the chaos harness
 tests.
 """
 
+import json
 import time
 
 import pytest
@@ -60,6 +61,21 @@ class TestRestore:
         assert recovered.result == result
         assert restarted.counts["recovered"] == 1
         restarted.close()
+
+    def test_served_job_journals_accept_and_terminal_only(
+        self, tmp_path
+    ):
+        service = _service(tmp_path)
+        job, _ = service.submit("history", {})
+        assert job.wait(30)
+        _settle(service)
+        service.close()
+        lines = (tmp_path / "state" / "jobs.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines[1:]]  # past header
+        assert [(r["key"], r["payload"]["state"]) for r in records] == [
+            (job.id, "queued"),
+            (job.id, "done"),
+        ]
 
     def test_recovered_flag_in_job_dict(self, tmp_path):
         service = _service(tmp_path)

@@ -50,6 +50,26 @@ def test_validation_matrix_subset():
     assert "positive detection rate: 100%" in table
 
 
+def test_matrix_analyzes_each_row_once(monkeypatch):
+    from repro.validation import harness
+
+    calls = []
+    real = harness.analyze_run
+
+    def counting(run, *args, **kwargs):
+        calls.append(run)
+        return real(run, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "analyze_run", counting)
+    specs = [
+        get_property("late_sender"),
+        get_property("balanced_mpi_barrier"),
+    ]
+    matrix = run_validation_matrix(specs=specs, size=4)
+    assert matrix.all_passed
+    assert len(calls) == len(specs)
+
+
 def test_matrix_detects_a_broken_tool():
     """A tool that reports nothing must fail positive correctness."""
 
