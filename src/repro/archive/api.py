@@ -159,7 +159,7 @@ class Archive:
         eager_threshold: Optional[int] = None,
         manifest: Optional[dict] = None,
     ) -> ArchivedRun:
-        """Archive an existing event stream (the sweep-sink entry point).
+        """Archive an event stream; every archive write comes through here.
 
         ``params`` must already be JSON-safe (see
         :func:`params_to_jsonable`); ``plan`` is a FaultPlan dict or
@@ -196,6 +196,46 @@ class Archive:
             metrics.runs_archived.inc()
         return run
 
+    def record_run(
+        self,
+        spec: PropertySpec,
+        run,
+        size: int,
+        threads: int,
+        seed: int,
+        params: Optional[dict] = None,
+        plan: Optional[dict] = None,
+        manifest: Optional[dict] = None,
+        events: Optional[Sequence[Event]] = None,
+    ) -> ArchivedRun:
+        """Archive a finished run of ``spec`` (see :meth:`record`).
+
+        The one place a run result becomes a manifest record: paradigm,
+        JSON-safe ``params`` (default: the spec's defaults), final time
+        and the transport's eager threshold all derive from ``spec`` and
+        ``run``.  ``events`` replaces the run's own trace -- a cell
+        whose trace went through a fault round trip archives what the
+        reader salvaged.
+        """
+        transport = getattr(run, "transport", None)
+        return self.record(
+            program=spec.name,
+            events=run.events if events is None else events,
+            final_time=run.final_time,
+            paradigm=spec.paradigm,
+            params=params_to_jsonable(
+                spec.default_params if params is None else params
+            ),
+            size=size,
+            threads=threads,
+            seed=seed,
+            plan=plan,
+            eager_threshold=(
+                transport.eager_threshold if transport is not None else None
+            ),
+            manifest=manifest,
+        )
+
     def archive_run(
         self,
         spec: PropertySpec,
@@ -228,25 +268,13 @@ class Archive:
             faults=faults,
             time_budget=time_budget,
         )
-        transport = getattr(run, "transport", None)
         plan_dict = None
         if faults is not None:
             plan = getattr(faults, "plan", faults)
             to_dict = getattr(plan, "to_dict", None)
             plan_dict = to_dict() if to_dict is not None else None
-        return self.record(
-            program=spec.name,
-            events=run.events,
-            final_time=run.final_time,
-            paradigm=spec.paradigm,
-            params=params_to_jsonable(base),
-            size=size,
-            threads=num_threads,
-            seed=seed,
-            plan=plan_dict,
-            eager_threshold=(
-                transport.eager_threshold if transport is not None else None
-            ),
+        return self.record_run(
+            spec, run, size, num_threads, seed, params=base, plan=plan_dict
         )
 
     # ------------------------------------------------------------------
@@ -317,12 +345,7 @@ class Archive:
             for r in (self.history() if runs is None else runs)
         ]
         return {
-            run.run_id: analyze_archived(
-                self.store,
-                run.to_payload(),
-                detectors=detectors,
-                stats=stats,
-            )
+            run.run_id: self.analyze(run, detectors=detectors, stats=stats)
             for run in resolved
         }
 

@@ -10,6 +10,12 @@ that detector's cells miss; every other cell (and the meta cell) still
 hits, so re-analysis recomputes exactly the affected column of the
 matrix.
 
+A missing cell is computed by :func:`~repro.analysis.analyze_events`
+with that one detector over an index of the stored trace, so cached
+and fresh findings come from the same detector loop, and archive and
+service analyses feed the same ``ats_analysis_*`` metrics and
+``analysis:*`` spans as every other analysis.
+
 Hits and misses are counted both into the caller-visible
 :class:`CacheStats` accumulator and -- when :mod:`repro.obs` is
 enabled -- the ``ats_archive_hits_total`` / ``ats_archive_misses_total``
@@ -22,9 +28,11 @@ import threading
 from typing import Optional, Sequence
 
 from ..analysis import AnalysisConfig, DEFAULT_DETECTORS, ANALYZER_VERSION
+from ..analysis.analyzer import analyze_events
 from ..analysis.index import TraceIndex
 from ..analysis.model import AnalysisResult, Finding
 from ..obs.instruments import archive_metrics
+from ..trace.events import Event
 from ..trace.io import events_from_jsonl
 from .codec import (
     findings_from_bytes,
@@ -63,13 +71,23 @@ class CacheStats:
         return f"cache: {self.hits} hits, {self.misses} misses ({rate:.0%})"
 
 
-def _count(stats: Optional[CacheStats], stage: str, hit: bool) -> None:
+def count_lookup(stats: Optional[CacheStats], stage: str, hit: bool) -> None:
+    """Count one cache lookup into ``stats`` and the archive metrics."""
     if stats is not None:
         stats.count(hit)
     metrics = archive_metrics()
     if metrics is not None:
         family = metrics.hits if hit else metrics.misses
         family.labels(stage=stage).inc()
+
+
+def archived_events(store: ArchiveStore, trace_digest: str) -> list[Event]:
+    """Decode one stored trace blob back into its events."""
+    events, _ = events_from_jsonl(
+        store.get_blob(trace_digest).decode("utf-8"),
+        label=f"<archive blob {trace_digest[:12]}>",
+    )
+    return events
 
 
 def meta_key(trace_digest: str) -> str:
@@ -113,26 +131,24 @@ def analyze_archived(
         key = cell_key(trace_digest, detector_fingerprint(detector, config))
         keys.append(key)
         blob = store.get_named(key)
-        _count(stats, "detector", blob is not None)
+        count_lookup(stats, "detector", blob is not None)
         cells.append(None if blob is None else findings_from_bytes(blob))
 
     mkey = meta_key(trace_digest)
     meta_blob = store.get_named(mkey)
-    _count(stats, "meta", meta_blob is not None)
+    count_lookup(stats, "meta", meta_blob is not None)
     if meta_blob is not None:
         total_time, locations = meta_from_bytes(meta_blob)
     else:
         total_time, locations = record["final_time"], None
 
     if any(cell is None for cell in cells) or locations is None:
-        events, _ = events_from_jsonl(
-            store.get_blob(trace_digest).decode("utf-8"),
-            label=f"<archive blob {trace_digest[:12]}>",
-        )
-        index = TraceIndex(events)
+        index = TraceIndex(archived_events(store, trace_digest))
         for i, detector in enumerate(detectors):
             if cells[i] is None:
-                found = list(detector.detect(index, config))
+                found = analyze_events(
+                    index, config=config, detectors=[detector]
+                ).findings
                 store.put_named(keys[i], findings_to_bytes(found))
                 cells[i] = found
         if locations is None:

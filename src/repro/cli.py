@@ -247,6 +247,18 @@ def _make_supervisor(args):
         raise CliError(str(exc)) from None
 
 
+def _write_artifact(dest, text: str, label: str) -> None:
+    """Write ``text`` to stdout for ``-``, else to ``dest`` and say so."""
+    if dest is None:
+        return
+    if dest == "-":
+        sys.stdout.write(text)
+        return
+    with open(dest, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    print(f"{label} written to {dest}")
+
+
 def _emit_failures(args, supervisor) -> None:
     """Print/write the quarantine report of a supervised sweep."""
     if supervisor is None:
@@ -254,14 +266,9 @@ def _emit_failures(args, supervisor) -> None:
     report = supervisor.failure_report()
     if report.failures:
         print(report.format_table())
-    if args.failures_out is not None:
-        text = report.to_json_str()
-        if args.failures_out == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.failures_out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            print(f"failure report written to {args.failures_out}")
+    _write_artifact(
+        args.failures_out, report.to_json_str(), "failure report"
+    )
     supervisor.close()
 
 
@@ -290,13 +297,11 @@ def _emit_obs(args, result) -> None:
     """
     metrics_out = getattr(args, "metrics_out", None)
     if metrics_out is not None:
-        text = _render_metrics(args.metrics_format, metrics_out)
-        if metrics_out == "-":
-            sys.stdout.write(text)
-        else:
-            with open(metrics_out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            print(f"metrics written to {metrics_out}")
+        _write_artifact(
+            metrics_out,
+            _render_metrics(args.metrics_format, metrics_out),
+            "metrics",
+        )
     chrome_out = getattr(args, "chrome_trace", None)
     if chrome_out is not None:
         n = write_chrome_trace(
@@ -495,13 +500,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     )
     analyze_run(result)  # populate the analysis metric families too
     dest = args.out if args.out is not None else "-"
-    text = _render_metrics(args.format, dest)
-    if dest == "-":
-        sys.stdout.write(text)
-    else:
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"metrics written to {dest}")
+    _write_artifact(dest, _render_metrics(args.format, dest), "metrics")
     return 0
 
 
@@ -571,14 +570,7 @@ def cmd_robustness(args: argparse.Namespace) -> int:
     print(result.format_table())
     if args.archive is not None:
         print(f"runs archived in {args.archive}")
-    if args.json is not None:
-        text = result.to_json_str()
-        if args.json == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            print(f"robustness curves written to {args.json}")
+    _write_artifact(args.json, result.to_json_str(), "robustness curves")
     _emit_failures(args, supervisor)
     return 0
 
@@ -666,17 +658,6 @@ def _load_campaign_spec(args):
         raise CliError(str(exc)) from None
 
 
-def _write_json_artifact(dest, text: str, label: str) -> None:
-    if dest is None:
-        return
-    if dest == "-":
-        sys.stdout.write(text)
-        return
-    with open(dest, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    print(f"{label} written to {dest}")
-
-
 def cmd_synth_generate(args: argparse.Namespace) -> int:
     """Sample a campaign's scenario list without running it."""
     import json
@@ -711,7 +692,7 @@ def cmd_synth_generate(args: argparse.Namespace) -> int:
                 for sc in scenarios
             ],
         }
-        _write_json_artifact(
+        _write_artifact(
             args.json,
             json.dumps(payload, indent=2) + "\n",
             "scenario list",
@@ -751,7 +732,7 @@ def cmd_synth_campaign(args: argparse.Namespace) -> int:
     print(score_result(result).format_table())
     if args.archive is not None:
         print(f"runs archived in {args.archive}")
-    _write_json_artifact(
+    _write_artifact(
         args.json, result.to_json_str(), "campaign artifact"
     )
     _emit_failures(args, supervisor)
@@ -783,7 +764,7 @@ def cmd_synth_score(args: argparse.Namespace) -> int:
             f"{args.campaign}: not a campaign artifact ({exc})"
         ) from None
     print(report.format_table())
-    _write_json_artifact(args.json, report.to_json_str(), "score")
+    _write_artifact(args.json, report.to_json_str(), "score")
     return 0
 
 
@@ -936,7 +917,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
                 for f in findings
             ],
         }
-        _write_json_artifact(
+        _write_artifact(
             args.json,
             json.dumps(payload, indent=2, sort_keys=True) + "\n",
             "stats report",
@@ -970,11 +951,11 @@ def cmd_export_dataset(args: argparse.Namespace) -> int:
             "record some with 'ats synth campaign --archive' first"
         )
     if args.jsonl is not None:
-        _write_json_artifact(
+        _write_artifact(
             args.jsonl, rows_to_jsonl(rows), "dataset (JSONL)"
         )
     if args.csv is not None:
-        _write_json_artifact(
+        _write_artifact(
             args.csv, rows_to_csv(rows), "dataset (CSV)"
         )
     print(
@@ -1111,13 +1092,9 @@ def cmd_diff(args: argparse.Namespace) -> int:
              "before": before.run_id, "after": after.run_id},
             **report.to_dict(),
         )
-        text = json.dumps(payload, indent=2) + "\n"
-        if args.json == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            print(f"diff written to {args.json}")
+        _write_artifact(
+            args.json, json.dumps(payload, indent=2) + "\n", "diff"
+        )
     if args.gate:
         failures = report.gate_failures()
         if failures:

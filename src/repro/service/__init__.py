@@ -19,8 +19,8 @@ while it runs.  The layers, bottom up:
   (``/submit-run``, ``/analyze``, ``/diff``, ``/campaign``,
   ``/history``, ``/jobs/<id>``, ``/status``, ``/dashboard``,
   ``/metrics``, ``/metrics.json``, ``/drain``);
-* :mod:`~repro.service.dashboard` -- the ``ats watch`` terminal view
-  and the self-refreshing HTML status page;
+* :mod:`~repro.service.dashboard` -- the ``ats watch`` terminal frame,
+  also served escaped as the self-refreshing HTML status page;
 * :mod:`~repro.service.client` -- the urllib client the CLI and tests
   use.
 

@@ -1,13 +1,14 @@
 """Status rendering: the ``ats watch`` terminal view and the HTML page.
 
-Both views render the same ``/status`` JSON snapshot
-(:meth:`AnalysisService.status`): queue depth and in-flight jobs,
-cumulative job counters, per-endpoint latency quantiles (when obs
-metrics are enabled), the archive cache hit ratio, and a live block
-per campaign fed by :class:`repro.resilience.Supervisor` progress
-events.  The HTML page self-refreshes with a plain ``<meta>`` refresh
--- no JavaScript, so it renders anywhere -- and the terminal view is
-redrawn by ``ats watch`` on its poll interval.
+One renderer, :func:`render_watch`, draws the ``/status`` JSON
+snapshot (:meth:`AnalysisService.status`): queue depth and in-flight
+jobs, cumulative job counters, per-endpoint latency quantiles (when
+obs metrics are enabled), the archive cache hit ratio, and a live
+block per campaign fed by :class:`repro.resilience.Supervisor`
+progress events.  ``ats watch`` redraws that frame on its poll
+interval; the ``/dashboard`` page serves the same frame, escaped in a
+``<pre>``, and self-refreshes with a plain ``<meta>`` refresh -- no
+JavaScript, so it renders anywhere.
 """
 
 from __future__ import annotations
@@ -119,35 +120,9 @@ _PAGE = """<!DOCTYPE html>
 <meta charset="utf-8">
 <meta http-equiv="refresh" content="2">
 <title>ats analysis service</title>
-<style>
-body {{ font-family: monospace; margin: 2em; background: #111;
-       color: #dcdcdc; }}
-h1 {{ font-size: 1.2em; }}
-table {{ border-collapse: collapse; margin: 0.8em 0; }}
-td, th {{ border: 1px solid #444; padding: 0.25em 0.8em;
-          text-align: right; }}
-th {{ background: #222; }}
-.bar {{ background: #333; width: 240px; height: 0.9em;
-        display: inline-block; }}
-.bar > div {{ background: #4c8; height: 100%; }}
-.drain {{ color: #e66; }}
-</style>
 </head>
 <body>
-<h1>ats analysis service{drain}</h1>
-<p>uptime {uptime:.1f}s &mdash; queue {queue} &mdash;
-inflight {inflight}/{workers} &mdash;
-cache hit ratio {cache}</p>
-<table>
-<tr><th>submitted</th><th>executed</th><th>coalesced</th>
-<th>failed</th><th>rate-limited</th></tr>
-<tr><td>{submitted}</td><td>{executed}</td><td>{coalesced}</td>
-<td>{failed}</td><td>{rate_limited}</td></tr>
-</table>
-{durable}
-{breakers}
-{latency}
-{campaigns}
+<pre>{frame}</pre>
 <p>endpoints: <a href="/status">/status</a> &middot;
 <a href="/metrics">/metrics</a> &middot;
 <a href="/metrics.json">/metrics.json</a></p>
@@ -156,109 +131,6 @@ cache hit ratio {cache}</p>
 """
 
 
-def _latency_table(latency: Optional[dict]) -> str:
-    if not latency:
-        return "<p>per-endpoint latency: obs metrics disabled</p>"
-    rows = [
-        "<table><tr><th>endpoint</th><th>p50</th><th>p99</th>"
-        "<th>requests</th></tr>"
-    ]
-    for endpoint in sorted(latency):
-        sample = latency[endpoint]
-        rows.append(
-            "<tr><td>{0}</td><td>{1}</td><td>{2}</td><td>{3}</td></tr>"
-            .format(
-                _html.escape(endpoint),
-                _fmt_ms(sample.get("p50")),
-                _fmt_ms(sample.get("p99")),
-                sample.get("count", 0),
-            )
-        )
-    rows.append("</table>")
-    return "".join(rows)
-
-
-def _campaign_blocks(campaigns) -> str:
-    if not campaigns:
-        return "<p>no campaigns</p>"
-    blocks = []
-    for snap in campaigns:
-        total = snap.get("total") or 0
-        resolved = snap.get("done", 0) + snap.get("failed", 0)
-        pct = int(100 * min(1.0, resolved / total)) if total else 0
-        blocks.append(
-            "<p>campaign {0}: <span class=\"bar\">"
-            "<div style=\"width:{1}%\"></div></span> "
-            "{2}/{3} (retried {4}, failed {5}, {6})</p>".format(
-                _html.escape(str(snap.get("job_id", "?"))),
-                pct,
-                resolved,
-                total,
-                snap.get("retried", 0),
-                snap.get("failed", 0),
-                _html.escape(_fmt_eta(snap.get("eta_seconds"))),
-            )
-        )
-    return "".join(blocks)
-
-
-def _durable_block(status: dict) -> str:
-    if not status.get("durable"):
-        return ""
-    counts = status.get("counts", {})
-    return (
-        "<p>durable: journal at {0} ({1} recovered, {2} requeued, "
-        "{3} orphaned, {4} expired)</p>".format(
-            _html.escape(str(status.get("state_dir", "?"))),
-            counts.get("recovered", 0),
-            counts.get("requeued", 0),
-            counts.get("orphaned", 0),
-            counts.get("expired", 0),
-        )
-    )
-
-
-def _breaker_table(breakers) -> str:
-    if not breakers:
-        return ""
-    rows = [
-        "<table><tr><th>evicted cell</th><th>state</th>"
-        "<th>failures</th><th>retry in</th></tr>"
-    ]
-    for cell in breakers:
-        rows.append(
-            "<tr><td>{0}</td><td>{1}</td><td>{2}</td>"
-            "<td>{3:.0f}s</td></tr>".format(
-                _html.escape(str(cell.get("cell", "?"))),
-                _html.escape(str(cell.get("state", "?"))),
-                cell.get("failures", 0),
-                cell.get("retry_after", 0.0),
-            )
-        )
-    rows.append("</table>")
-    return "".join(rows)
-
-
 def render_html(status: dict) -> str:
-    """The self-refreshing ``/dashboard`` page for one snapshot."""
-    counts = status.get("counts", {})
-    return _PAGE.format(
-        drain=(
-            "" if status.get("accepting", True)
-            else " <span class=\"drain\">[draining]</span>"
-        ),
-        uptime=status.get("uptime", 0.0),
-        queue=status.get("queue_depth", 0),
-        inflight=status.get("inflight", 0),
-        workers=status.get("max_workers", 0),
-        cache=_fmt_ratio(status.get("cache_hit_ratio")),
-        submitted=counts.get("submitted", 0),
-        executed=counts.get("executed", 0),
-        coalesced=counts.get("coalesced", 0),
-        failed=counts.get("failed", 0),
-        rate_limited=counts.get("rate_limited", 0),
-        durable=_durable_block(status),
-        breakers=_breaker_table(status.get("breakers")),
-        latency=_latency_table(status.get("latency")),
-        campaigns=_campaign_blocks(status.get("campaigns")),
-    )
+    """The self-refreshing ``/dashboard`` page: one watch frame."""
+    return _PAGE.format(frame=_html.escape(render_watch(status)))

@@ -46,7 +46,7 @@ def sanitize_params(params: Optional[Dict[str, Any]]) -> Dict[str, Any]:
     """The journal-safe subset of a job's params.
 
     Submit-time resolution attaches live objects under ``_``-prefixed
-    keys (``_spec``, ``_record``, ``_progress``...); the journal keeps
+    keys (``_spec``, ``_run``, ``_progress``...); the journal keeps
     only the client-supplied JSON so recovery re-resolves from scratch.
     """
     return {

@@ -45,7 +45,7 @@ from collections import OrderedDict, deque
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
-from ..archive import Archive, ArchiveError, CacheStats
+from ..archive import Archive, ArchiveError, ArchivedRun, CacheStats
 from ..archive.fingerprint import detector_set_fingerprint
 from ..obs.instruments import service_metrics
 from ..obs.spans import span_log, spans_enabled
@@ -327,11 +327,11 @@ class AnalysisService:
         than a failed job it would have to poll for.
         """
         if kind == "analyze":
-            record = self._resolve_ref(params.get("run"))
-            params["_record"] = record
+            run = self._resolve_ref(params.get("run"))
+            params["_run"] = run
             return (
                 "analyze",
-                record["trace_digest"],
+                run.trace_digest,
                 detector_set_fingerprint(_default_detectors()),
             )
         if kind == "diff":
@@ -341,8 +341,8 @@ class AnalysisService:
             params["_after"] = after
             return (
                 "diff",
-                before["trace_digest"],
-                after["trace_digest"],
+                before.trace_digest,
+                after.trace_digest,
                 detector_set_fingerprint(_default_detectors()),
                 float(params.get("threshold", self.threshold)),
             )
@@ -365,11 +365,11 @@ class AnalysisService:
             params["_runs"] = self._resolve_export_runs(params)
         return None
 
-    def _resolve_ref(self, ref, label: str = "run") -> dict:
+    def _resolve_ref(self, ref, label: str = "run") -> ArchivedRun:
         if not ref or not isinstance(ref, str):
             raise JobError(f"missing {label!r} run reference")
         try:
-            return self.archive.resolve(ref).to_payload()
+            return self.archive.resolve(ref)
         except ArchiveError as exc:
             raise JobError(str(exc)) from None
 
@@ -579,18 +579,14 @@ class AnalysisService:
         }
 
     def _job_analyze(self, job: Job) -> dict:
-        record = job.params["_record"]
+        run = job.params["_run"]
         stats = CacheStats()
-        from ..archive.cache import analyze_archived
-
-        analysis = analyze_archived(
-            self.archive.store, record, stats=stats
-        )
+        analysis = self.archive.analyze(run, stats=stats)
         self._count_cache(job, stats)
         threshold = float(job.params.get("threshold", self.threshold))
         return {
             "run_id": job.params.get("run"),
-            "program": record.get("program"),
+            "program": run.program,
             "severities": analysis.severities_by_property(),
             "detected": list(analysis.detected(threshold)),
             "findings": len(analysis.findings),
@@ -599,19 +595,14 @@ class AnalysisService:
         }
 
     def _job_diff(self, job: Job) -> dict:
-        from ..analysis.compare import compare_analyses
-        from ..archive.cache import analyze_archived
-
         stats = CacheStats()
-        threshold = float(job.params.get("threshold", self.threshold))
-        before = analyze_archived(
-            self.archive.store, job.params["_before"], stats=stats
-        )
-        after = analyze_archived(
-            self.archive.store, job.params["_after"], stats=stats
+        report = self.archive.diff(
+            job.params["_before"],
+            job.params["_after"],
+            threshold=float(job.params.get("threshold", self.threshold)),
+            stats=stats,
         )
         self._count_cache(job, stats)
-        report = compare_analyses(before, after, threshold=threshold)
         return {
             "before": job.params.get("before"),
             "after": job.params.get("after"),

@@ -33,14 +33,7 @@ from .scheduler import (
     now,
     passivate,
 )
-from .sync import (
-    Mailbox,
-    SimBarrier,
-    SimCondition,
-    SimEvent,
-    SimMutex,
-    SimSemaphore,
-)
+from .sync import SimBarrier, SimMutex
 from .watchdog import (
     DeadlockReport,
     HangReport,
@@ -54,18 +47,14 @@ __all__ = [
     "HangReport",
     "Lcg64",
     "derive_seed",
-    "Mailbox",
     "NotInProcessError",
     "PendingCall",
     "ProcState",
     "ProcessKilled",
     "SimBarrier",
-    "SimCondition",
     "SimError",
-    "SimEvent",
     "SimMutex",
     "SimProcess",
-    "SimSemaphore",
     "SimulationCrashed",
     "Simulator",
     "WorkerPool",

@@ -16,74 +16,6 @@ from .errors import SimError
 from .process import SimProcess, current_process
 
 
-class SimEvent:
-    """A broadcast event: processes wait until some process sets it."""
-
-    def __init__(self, name: str = "event"):
-        self.name = name
-        self._set = False
-        self._waiters: Deque[SimProcess] = deque()
-        self._wait_reason = f"wait({name})"
-        #: optional payload handed to waiters via :attr:`value`
-        self.value: Any = None
-
-    @property
-    def is_set(self) -> bool:
-        return self._set
-
-    def wait(self) -> Any:
-        """Block the caller until the event is set; returns the payload."""
-        proc = current_process()
-        while not self._set:
-            self._waiters.append(proc)
-            proc.sim.passivate(self._wait_reason)
-        return self.value
-
-    def set(self, value: Any = None) -> None:
-        """Set the event and wake every waiter (at the current time)."""
-        self._set = True
-        self.value = value
-        while self._waiters:
-            waiter = self._waiters.popleft()
-            waiter.sim.activate(waiter)
-
-    def clear(self) -> None:
-        """Reset the event to unset."""
-        self._set = False
-        self.value = None
-
-
-class SimSemaphore:
-    """A counting semaphore with FIFO wake-up order."""
-
-    def __init__(self, value: int = 0, name: str = "sem"):
-        if value < 0:
-            raise ValueError("semaphore initial value must be >= 0")
-        self.name = name
-        self._value = value
-        self._waiters: Deque[SimProcess] = deque()
-        self._wait_reason = f"acquire({name})"
-
-    @property
-    def value(self) -> int:
-        return self._value
-
-    def acquire(self) -> None:
-        proc = current_process()
-        while self._value == 0:
-            self._waiters.append(proc)
-            proc.sim.passivate(self._wait_reason)
-        self._value -= 1
-
-    def release(self, n: int = 1) -> None:
-        if n < 1:
-            raise ValueError("release count must be >= 1")
-        self._value += n
-        for _ in range(min(n, len(self._waiters))):
-            waiter = self._waiters.popleft()
-            waiter.sim.activate(waiter)
-
-
 class SimMutex:
     """A non-reentrant mutual-exclusion lock with FIFO handoff."""
 
@@ -125,34 +57,6 @@ class SimMutex:
         self.release()
 
 
-class SimCondition:
-    """A condition variable tied to a :class:`SimMutex`."""
-
-    def __init__(self, mutex: SimMutex, name: str = "cond"):
-        self.mutex = mutex
-        self.name = name
-        self._waiters: Deque[SimProcess] = deque()
-        self._wait_reason = f"cond({name})"
-
-    def wait(self) -> None:
-        """Release the mutex, block until notified, reacquire the mutex."""
-        proc = current_process()
-        if self.mutex.owner is not proc:
-            raise SimError("condition wait requires holding the mutex")
-        self._waiters.append(proc)
-        self.mutex.release()
-        proc.sim.passivate(self._wait_reason)
-        self.mutex.acquire()
-
-    def notify(self, n: int = 1) -> None:
-        for _ in range(min(n, len(self._waiters))):
-            waiter = self._waiters.popleft()
-            waiter.sim.activate(waiter)
-
-    def notify_all(self) -> None:
-        self.notify(len(self._waiters))
-
-
 class SimBarrier:
     """An N-party reusable barrier.
 
@@ -189,29 +93,3 @@ class SimBarrier:
         if self._generation == gen:  # pragma: no cover - defensive
             raise SimError(f"barrier {self.name} woke a waiter early")
         return index
-
-
-class Mailbox:
-    """An unbounded FIFO message queue between processes."""
-
-    def __init__(self, name: str = "mailbox"):
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[SimProcess] = deque()
-        self._wait_reason = f"mailbox({name})"
-
-    def put(self, item: Any) -> None:
-        self._items.append(item)
-        if self._getters:
-            getter = self._getters.popleft()
-            getter.sim.activate(getter)
-
-    def get(self) -> Any:
-        proc = current_process()
-        while not self._items:
-            self._getters.append(proc)
-            proc.sim.passivate(self._wait_reason)
-        return self._items.popleft()
-
-    def __len__(self) -> int:
-        return len(self._items)

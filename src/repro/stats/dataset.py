@@ -26,10 +26,9 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..archive.cache import CacheStats
-from ..obs.instruments import archive_metrics, stats_metrics
+from ..archive.cache import CacheStats, archived_events, count_lookup
+from ..obs.instruments import stats_metrics
 from ..obs.spans import span
-from ..trace.io import events_from_jsonl
 from .features import FEATURE_VERSION, FeatureMatrix, behavior_matrix
 
 #: artifact format tag every exported JSONL row carries
@@ -58,15 +57,6 @@ def feature_cell_key(trace_digest: str) -> str:
     return f"features|{trace_digest}|{FEATURE_VERSION}"
 
 
-def _count(stats: Optional[CacheStats], hit: bool) -> None:
-    if stats is not None:
-        stats.count(hit)
-    metrics = archive_metrics()
-    if metrics is not None:
-        family = metrics.hits if hit else metrics.misses
-        family.labels(stage="features").inc()
-
-
 def features_for_run(
     archive, run, stats: Optional[CacheStats] = None
 ) -> FeatureMatrix:
@@ -80,13 +70,10 @@ def features_for_run(
     store = archive.store
     key = feature_cell_key(run.trace_digest)
     blob = store.get_named(key)
-    _count(stats, blob is not None)
+    count_lookup(stats, "features", blob is not None)
     if blob is not None:
         return FeatureMatrix.from_dict(json.loads(blob))
-    events, _ = events_from_jsonl(
-        store.get_blob(run.trace_digest).decode("utf-8"),
-        label=f"<archive blob {run.trace_digest[:12]}>",
-    )
+    events = archived_events(store, run.trace_digest)
     metrics = stats_metrics()
     t0 = perf_counter() if metrics is not None else 0.0
     matrix = behavior_matrix(events, total_time=run.final_time)

@@ -160,7 +160,6 @@ def run_noisy_cell(
     analysis functions are called through this module's globals,
     where perfbench's layer probes wrap them.
     """
-    from ..archive import params_to_jsonable
     from ..stats import battery_for
 
     detectors = battery_for(families)
@@ -195,20 +194,15 @@ def run_noisy_cell(
         salvaged = bool(metadata.get("truncated"))
     run_id = None
     if archive is not None:
-        run_id = archive.record(
-            program=pspec.name,
-            events=events,
-            final_time=run.final_time,
-            paradigm=pspec.paradigm,
-            params=params_to_jsonable(pspec.default_params),
-            size=size,
-            threads=threads,
-            seed=seed,
+        run_id = archive.record_run(
+            pspec,
+            run,
+            size,
+            threads,
+            seed,
             plan=dict(scaled.to_dict(), magnitude=magnitude),
-            eager_threshold=(
-                transport.eager_threshold if transport is not None else None
-            ),
             manifest=manifest,
+            events=events,
         ).run_id
     if not faulty:
         analysis = analyze_run(run, detectors=detectors)

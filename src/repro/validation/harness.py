@@ -191,21 +191,10 @@ def validate_spec(
         time_budget=time_budget,
     )
     if archive is not None:
-        from ..archive import coerce_archive, params_to_jsonable
+        from ..archive import coerce_archive
 
-        transport = getattr(run, "transport", None)
-        coerce_archive(archive).record(
-            program=spec.name,
-            events=run.events,
-            final_time=run.final_time,
-            paradigm=spec.paradigm,
-            params=params_to_jsonable(spec.default_params),
-            size=size,
-            threads=num_threads,
-            seed=seed,
-            eager_threshold=(
-                transport.eager_threshold if transport is not None else None
-            ),
+        coerce_archive(archive).record_run(
+            spec, run, size, num_threads, seed
         )
     # One analysis serves severity, localization and, with no tool
     # given, the verdict of the bundled analyzer (``default_tool``).

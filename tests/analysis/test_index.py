@@ -72,3 +72,27 @@ def test_analysis_identical_through_index():
         (f.property, f.wait_time, f.callpath, f.loc)
         for f in via_index.findings
     ]
+
+
+def test_analyze_events_reuses_an_index_of_any_subclass(monkeypatch):
+    # perfbench rebinds the analyzer's and the archive cache's
+    # ``TraceIndex`` names to separate timed subclasses; an index built
+    # through either must not be rebuilt by analyze_events
+    from repro.analysis import analyzer
+
+    built = []
+
+    class Rebound(TraceIndex):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    class Elsewhere(TraceIndex):
+        pass
+
+    monkeypatch.setattr(analyzer, "TraceIndex", Rebound)
+    events = _trace()
+    cached = analyze_events(Elsewhere(events))
+    assert built == []
+    assert cached.findings == analyze_events(events).findings
+    assert len(built) == 1

@@ -6,6 +6,8 @@ produces the same trace blob, regardless of incidental process state:
 how many pooled workers exist or whether metrics are on.
 """
 
+import pytest
+
 from repro.archive import Archive
 from repro.core import get_property
 from repro.simkernel import worker_pool
@@ -47,4 +49,20 @@ def test_rearchiving_is_idempotent(tmp_path):
     first = archive.archive_run(spec, size=4, seed=9)
     second = archive.archive_run(spec, size=4, seed=9)
     assert first == second
+    assert len(archive.history()) == 1
+
+
+@pytest.mark.parametrize(
+    "program", ["late_sender", "imbalance_in_omp_pregion"]
+)
+def test_matrix_and_archive_run_record_the_same_run(tmp_path, program):
+    from repro.validation import validate_spec
+
+    archive = Archive(tmp_path)
+    spec = get_property(program)
+    validate_spec(spec, size=4, num_threads=2, archive=archive)
+    (via_matrix,) = archive.history()
+    via_archive = archive.archive_run(spec, size=4, num_threads=2)
+    assert via_archive.run_id == via_matrix.run_id
+    assert via_archive.to_payload() == via_matrix.to_payload()
     assert len(archive.history()) == 1

@@ -1,5 +1,6 @@
 """HTTP integration: routes, coalescing, rate limits, drain, tracing."""
 
+import html as html_lib
 import json
 import threading
 import time
@@ -15,6 +16,7 @@ from repro.service import (
     ServiceHTTPError,
     run_service_in_thread,
 )
+from repro.service.dashboard import render_watch
 
 
 # ----------------------------------------------------------------------
@@ -222,6 +224,37 @@ def test_metrics_is_valid_prometheus_with_service_families(
     assert 'ats_service_request_seconds_bucket{endpoint="analyze"' in text
 
 
+def _samples(text, family):
+    """``{labels: value}`` of one family's sample lines."""
+    out = {}
+    for line in text.splitlines():
+        if line.startswith((family + "{", family + " ")):
+            head, _, value = line.rpartition(" ")
+            out[head[len(family):]] = float(value)
+    return out
+
+
+def test_cold_analyze_feeds_the_analysis_metrics(service_env):
+    from repro.analysis import DEFAULT_DETECTORS
+
+    client = ServiceClient(service_env.url)
+    cold = client.analyze(service_env.run.run_id, wait=True)["result"]
+    assert cold["cache"]["hits"] == 0
+    text = client.metrics()
+    seconds = _samples(text, "ats_analysis_detector_seconds_total")
+    assert sorted(seconds) == sorted(
+        f'{{detector="{type(d).__name__}"}}' for d in DEFAULT_DETECTORS
+    )
+    findings = _samples(text, "ats_analysis_findings_total")
+    assert sum(findings.values()) == cold["findings"] > 0
+    # a warm repeat assembles from cells and runs no detector
+    warm = client.analyze(service_env.run.run_id, wait=True)["result"]
+    assert warm["cache"]["misses"] == 0
+    text = client.metrics()
+    assert _samples(text, "ats_analysis_detector_seconds_total") == seconds
+    assert _samples(text, "ats_analysis_findings_total") == findings
+
+
 def test_metrics_json_carries_quantiles(service_env):
     client = ServiceClient(service_env.url)
     client.analyze(service_env.run.run_id, wait=True)
@@ -250,6 +283,13 @@ def test_dashboard_renders_html(service_env):
     html = client._request("GET", "/dashboard", raw=True)
     assert html.startswith("<!DOCTYPE html>")
     assert "ats analysis service" in html
+    # the page is the watch frame, escaped: its jobs line appears verbatim
+    frame = html_lib.escape(render_watch(client.status()))
+    jobs_line = next(
+        line for line in frame.splitlines()
+        if line.lstrip().startswith("jobs:")
+    )
+    assert jobs_line in html
 
 
 # ----------------------------------------------------------------------

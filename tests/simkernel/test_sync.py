@@ -3,114 +3,14 @@
 import pytest
 
 from repro.simkernel import (
-    Mailbox,
     SimBarrier,
-    SimCondition,
     SimError,
-    SimEvent,
     SimMutex,
-    SimSemaphore,
     SimulationCrashed,
     Simulator,
     hold,
     now,
 )
-
-
-def test_event_wait_blocks_until_set():
-    sim = Simulator()
-    evt = SimEvent()
-    log = []
-
-    def waiter(tag):
-        value = evt.wait()
-        log.append((tag, value, now()))
-
-    def setter():
-        hold(2.0)
-        evt.set("payload")
-
-    sim.spawn(waiter, "w1")
-    sim.spawn(waiter, "w2")
-    sim.spawn(setter)
-    sim.run()
-    assert log == [("w1", "payload", 2.0), ("w2", "payload", 2.0)]
-
-
-def test_event_already_set_does_not_block():
-    sim = Simulator()
-    evt = SimEvent()
-    evt.set(99)
-    log = []
-
-    def waiter():
-        log.append((evt.wait(), now()))
-
-    sim.spawn(waiter)
-    sim.run()
-    assert log == [(99, 0.0)]
-
-
-def test_event_clear_makes_wait_block_again():
-    sim = Simulator()
-    evt = SimEvent()
-    log = []
-
-    def waiter():
-        evt.wait()
-        log.append(now())
-
-    def driver():
-        evt.set()
-        evt.clear()
-        hold(1.0)
-        sim.spawn(waiter)
-        hold(1.0)
-        evt.set()
-
-    sim.spawn(driver)
-    sim.run()
-    assert log == [2.0]
-
-
-def test_semaphore_serializes_by_count():
-    sim = Simulator()
-    sem = SimSemaphore(2)
-    active = []
-    peaks = []
-
-    def worker(i):
-        sem.acquire()
-        active.append(i)
-        peaks.append(len(active))
-        hold(1.0)
-        active.remove(i)
-        sem.release()
-
-    for i in range(5):
-        sim.spawn(worker, i)
-    sim.run()
-    assert max(peaks) == 2
-
-
-def test_semaphore_fifo_wakeup():
-    sim = Simulator()
-    sem = SimSemaphore(0)
-    order = []
-
-    def waiter(tag):
-        sem.acquire()
-        order.append(tag)
-
-    def releaser():
-        hold(1.0)
-        sem.release(3)
-
-    for tag in ("a", "b", "c"):
-        sim.spawn(waiter, tag)
-    sim.spawn(releaser)
-    sim.run()
-    assert order == ["a", "b", "c"]
 
 
 def test_mutex_mutual_exclusion_and_fifo():
@@ -156,44 +56,6 @@ def test_mutex_not_reentrant():
     def body():
         mtx.acquire()
         mtx.acquire()
-
-    sim.spawn(body)
-    with pytest.raises(SimulationCrashed):
-        sim.run()
-
-
-def test_condition_wait_notify():
-    sim = Simulator()
-    mtx = SimMutex()
-    cond = SimCondition(mtx)
-    state = {"ready": False}
-    log = []
-
-    def consumer():
-        with mtx:
-            while not state["ready"]:
-                cond.wait()
-            log.append(("consumed", now()))
-
-    def producer():
-        hold(3.0)
-        with mtx:
-            state["ready"] = True
-            cond.notify()
-
-    sim.spawn(consumer)
-    sim.spawn(producer)
-    sim.run()
-    assert log == [("consumed", 3.0)]
-
-
-def test_condition_wait_requires_mutex():
-    sim = Simulator()
-    mtx = SimMutex()
-    cond = SimCondition(mtx)
-
-    def body():
-        cond.wait()
 
     sim.spawn(body)
     with pytest.raises(SimulationCrashed):
@@ -250,25 +112,3 @@ def test_barrier_single_party_never_blocks():
 def test_barrier_rejects_zero_parties():
     with pytest.raises(ValueError):
         SimBarrier(0)
-
-
-def test_mailbox_fifo_and_blocking_get():
-    sim = Simulator()
-    box = Mailbox()
-    got = []
-
-    def consumer():
-        for _ in range(3):
-            got.append((box.get(), now()))
-
-    def producer():
-        hold(1.0)
-        box.put("x")
-        box.put("y")
-        hold(1.0)
-        box.put("z")
-
-    sim.spawn(consumer)
-    sim.spawn(producer)
-    sim.run()
-    assert got == [("x", 1.0), ("y", 1.0), ("z", 2.0)]
