@@ -42,6 +42,23 @@ def _is_time_sorted(events: Sequence[Event]) -> bool:
     return True
 
 
+def build_index(index_class: type, events: Sequence[Event]) -> TraceIndex:
+    """``index_class(events)``, timed as one index build.
+
+    The build is bracketed by an ``analysis:index`` span and counted
+    into ``ats_analysis_index_build_seconds_total``.  Callers pass
+    their own module's ``TraceIndex`` name, which perfbench's layer
+    probes rebind.
+    """
+    metrics = analysis_metrics()
+    with span("analysis:index", cat="analysis", events=len(events)):
+        t0 = perf_counter() if metrics is not None else 0.0
+        index = index_class(events)
+        if metrics is not None:
+            metrics.index_build_seconds.inc(perf_counter() - t0)
+    return index
+
+
 def analyze_events(
     events: Sequence[Event],
     total_time: Optional[float] = None,
@@ -74,11 +91,7 @@ def analyze_events(
             # hand-assembled streams pay for a sort (stable, so
             # same-time events keep their given order as before).
             events.sort(key=lambda e: e.time)
-        with span("analysis:index", cat="analysis", events=len(events)):
-            t0 = perf_counter() if metrics is not None else 0.0
-            index = TraceIndex(events)
-            if metrics is not None:
-                metrics.index_build_seconds.inc(perf_counter() - t0)
+        index = build_index(TraceIndex, events)
     findings: list[Finding] = []
     for detector in detectors:
         name = type(detector).__name__

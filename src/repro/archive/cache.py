@@ -28,7 +28,7 @@ import threading
 from typing import Optional, Sequence
 
 from ..analysis import AnalysisConfig, DEFAULT_DETECTORS, ANALYZER_VERSION
-from ..analysis.analyzer import analyze_events
+from ..analysis.analyzer import analyze_events, build_index
 from ..analysis.index import TraceIndex
 from ..analysis.model import AnalysisResult, Finding
 from ..obs.instruments import archive_metrics
@@ -143,7 +143,7 @@ def analyze_archived(
         total_time, locations = record["final_time"], None
 
     if any(cell is None for cell in cells) or locations is None:
-        index = TraceIndex(archived_events(store, trace_digest))
+        index = build_index(TraceIndex, archived_events(store, trace_digest))
         for i, detector in enumerate(detectors):
             if cells[i] is None:
                 found = analyze_events(

@@ -163,6 +163,19 @@ class ServiceClient:
             return None
         return {"X-Deadline-Ms": str(int(deadline * 1000))}
 
+    def _submit(
+        self,
+        path: str,
+        body: Dict[str, Any],
+        wait: bool,
+        deadline: Optional[float],
+    ) -> dict:
+        if wait:
+            body["wait"] = True
+        return self._request(
+            "POST", path, body, headers=self._deadline_headers(deadline),
+        )
+
     def submit_run(
         self,
         property: str,
@@ -170,13 +183,8 @@ class ServiceClient:
         deadline: Optional[float] = None,
         **params: Any,
     ) -> dict:
-        body: Dict[str, Any] = {"property": property, **params}
-        if wait:
-            body["wait"] = True
-        return self._request(
-            "POST", "/submit-run", body,
-            headers=self._deadline_headers(deadline),
-        )
+        body = {"property": property, **params}
+        return self._submit("/submit-run", body, wait, deadline)
 
     def analyze(
         self,
@@ -185,13 +193,7 @@ class ServiceClient:
         deadline: Optional[float] = None,
         **params: Any,
     ) -> dict:
-        body: Dict[str, Any] = {"run": run, **params}
-        if wait:
-            body["wait"] = True
-        return self._request(
-            "POST", "/analyze", body,
-            headers=self._deadline_headers(deadline),
-        )
+        return self._submit("/analyze", {"run": run, **params}, wait, deadline)
 
     def diff(
         self,
@@ -201,15 +203,8 @@ class ServiceClient:
         deadline: Optional[float] = None,
         **params: Any,
     ) -> dict:
-        body: Dict[str, Any] = {
-            "before": before, "after": after, **params
-        }
-        if wait:
-            body["wait"] = True
-        return self._request(
-            "POST", "/diff", body,
-            headers=self._deadline_headers(deadline),
-        )
+        body = {"before": before, "after": after, **params}
+        return self._submit("/diff", body, wait, deadline)
 
     def campaign(
         self,
@@ -217,13 +212,7 @@ class ServiceClient:
         deadline: Optional[float] = None,
         **params: Any,
     ) -> dict:
-        body: Dict[str, Any] = dict(params)
-        if wait:
-            body["wait"] = True
-        return self._request(
-            "POST", "/campaign", body,
-            headers=self._deadline_headers(deadline),
-        )
+        return self._submit("/campaign", dict(params), wait, deadline)
 
     def synth(
         self,
@@ -233,13 +222,7 @@ class ServiceClient:
         **params: Any,
     ) -> dict:
         """Submit a synthesized-scenario campaign (a CampaignSpec dict)."""
-        body: Dict[str, Any] = dict(params, spec=spec)
-        if wait:
-            body["wait"] = True
-        return self._request(
-            "POST", "/synth", body,
-            headers=self._deadline_headers(deadline),
-        )
+        return self._submit("/synth", dict(params, spec=spec), wait, deadline)
 
     def export(
         self,
@@ -255,12 +238,7 @@ class ServiceClient:
             body["runs"] = list(runs)
         if csv:
             body["csv"] = True
-        if wait:
-            body["wait"] = True
-        return self._request(
-            "POST", "/export", body,
-            headers=self._deadline_headers(deadline),
-        )
+        return self._submit("/export", body, wait, deadline)
 
     # ------------------------------------------------------------------
     # inspection

@@ -5,10 +5,12 @@ parsing (request line, headers, ``Content-Length`` bodies,
 keep-alive), and a small route table over
 :class:`~repro.service.server.AnalysisService`::
 
-    POST /submit-run        {property, size?, threads?, seed?, wait?}
+    POST /submit-run        {property, size?, threads?, seed?,
+                             severity_scale?, wait?}
     POST /analyze           {run, threshold?, wait?}
     POST /diff              {before, after, threshold?, wait?}
-    POST /campaign          {properties?, size?, threads?, seed?, wait?}
+    POST /campaign          {properties?, size?, threads?, seed?,
+                             timeout?, retries?, wait?}
     POST /synth             {spec, threshold?, timeout?, retries?, wait?}
     POST /export            {runs?, csv?, wait?}  ground-truth dataset
     GET  /history[?wait=0]  archive manifest as an async job
@@ -24,8 +26,9 @@ Submissions return ``202 {"job": ...}`` immediately; with
 ``wait`` truthy (query string or body) the response blocks until the
 job resolves and carries the result inline -- that is how perfbench's
 service workload measures end-to-end latency without poll noise.
-Rate-limited tenants get ``429`` with a ``Retry-After`` header; a
-draining service answers ``503`` to every submission.
+A malformed param or unknown ref is a ``400``; rate-limited tenants
+get ``429`` with a ``Retry-After`` header; a draining service answers
+``503`` to every submission.
 
 Every request gets a request id (``X-Request-Id`` header in and out,
 generated when absent) that the service propagates into job records

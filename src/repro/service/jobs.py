@@ -9,9 +9,10 @@ the ``/jobs/<id>`` record, and every obs span the job's lifecycle
 records.
 
 Coalescing is keyed by :meth:`Job.coalesce_key`: two jobs whose keys
-match are *the same computation* -- for an analyze job the key is the
-``(trace digest, detector-set fingerprint)`` pair that also keys the
-archive's incremental cache, so "identical" here means identical by
+match are *the same computation* -- the key holds every resolved input
+the job reads (for an analyze job, the ``(trace digest, detector-set
+fingerprint)`` pair that also keys the archive's incremental cache,
+plus the threshold), so "identical" here means identical by
 construction, not by request text.  The service maps each in-flight
 key to its primary job and hands duplicates that job back instead of
 queueing a second copy.

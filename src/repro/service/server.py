@@ -18,9 +18,8 @@ Three policies sit on the submission path:
 * **coalescing** -- a submission whose
   :meth:`~repro.service.jobs.Job.coalesce_key` matches an in-flight
   job joins that job instead of queueing a duplicate computation
-  (analyze keys are the archive cache's own ``(trace digest,
-  detector fingerprint)`` pair, so coalesced responses are identical
-  by construction);
+  (the key holds every resolved input the job body reads, so
+  coalesced responses are identical by construction);
 * **drain** -- :meth:`drain` stops intake (:class:`ServiceDraining`,
   surfaced as 503) and waits for the queue and in-flight jobs to
   empty, the graceful half of shutdown.
@@ -30,6 +29,10 @@ on one internal lock: the simulator's worker-pool handoff protocol assumes
 one simulation at a time per process.  Pure host-side jobs (analyze,
 diff, history) run fully concurrently.
 
+One step, :meth:`AnalysisService._resolve`, reads a submission's
+params, so malformed input is a 400 at submit and never reaches the
+queue, the journal or the circuit breaker.
+
 Request tracing: every job carries its submission's request id, and
 the service records ``queue-wait`` / ``execute`` / ``archive-cache``
 obs spans tagged with it, completing the HTTP-accept span the HTTP
@@ -38,6 +41,7 @@ layer records.  One Chrome-trace export shows a request's whole life.
 
 from __future__ import annotations
 
+import math
 import sys
 import threading
 import time
@@ -45,8 +49,10 @@ from collections import OrderedDict, deque
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
+from ..analysis import DEFAULT_DETECTORS
 from ..archive import Archive, ArchiveError, ArchivedRun, CacheStats
 from ..archive.fingerprint import detector_set_fingerprint
+from ..core import get_property, list_properties
 from ..obs.instruments import service_metrics
 from ..obs.spans import span_log, spans_enabled
 from ..simkernel.process import submit_host_task
@@ -93,6 +99,81 @@ class ServiceDraining(Exception):
 def _span(name: str, t0: float, t1: float, **args: Any) -> None:
     if spans_enabled():
         span_log().record(name, "service", t0, t1, args)
+
+
+#: numeric client key -> (type, range check, the rule errors state).
+_NUMBERS = {
+    "size": (int, lambda v: v >= 1, "an integer >= 1"),
+    "threads": (int, lambda v: v >= 1, "an integer >= 1"),
+    "seed": (int, lambda v: True, "an integer"),
+    "threshold": (float, lambda v: 0 <= v < math.inf,
+                  "a finite number >= 0"),
+    "severity_scale": (float, lambda v: 0 < v < math.inf,
+                       "a finite number > 0"),
+    "timeout": (float, lambda v: v > 0, "a number > 0"),
+    "retries": (int, lambda v: v >= 0, "an integer >= 0"),
+}
+
+
+def _number(params: Dict[str, Any], name: str, default):
+    """``params[name]`` typed and range-checked by ``_NUMBERS``.
+
+    Absent or null means ``default``.  Whatever ``int()``/``float()``
+    accepts is accepted, except a JSON boolean, which is not a number;
+    anything else raises :class:`JobError` naming the key.
+    """
+    raw = params.get(name)
+    if raw is None:
+        return default
+    cast, ok, rule = _NUMBERS[name]
+    try:
+        value = None if isinstance(raw, bool) else cast(raw)
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    if value is None or not ok(value):
+        raise JobError(f"{name!r} must be {rule}, got {raw!r}")
+    return value
+
+
+def _list(params: Dict[str, Any], name: str) -> list:
+    """``params[name]`` as a list (absent or null: empty)."""
+    value = params.get(name)
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise JobError(f"{name!r} must be a list, got {value!r}")
+    return value
+
+
+def _grid(params: Dict[str, Any]) -> Dict[str, int]:
+    """The size/threads/seed a run or campaign job simulates at."""
+    return {
+        "size": _number(params, "size", 8),
+        "num_threads": _number(params, "threads", 4),
+        "seed": _number(params, "seed", 0),
+    }
+
+
+def _property(name):
+    if not name or not isinstance(name, str):
+        raise JobError(f"not a property name: {name!r}")
+    try:
+        return get_property(name)
+    except KeyError:
+        raise JobError(f"unknown property function {name!r}") from None
+
+
+def _campaign_spec(spec):
+    from ..synth import CampaignSpec, SynthError
+
+    if not isinstance(spec, dict):
+        raise JobError(
+            "synth jobs need a 'spec' object (a CampaignSpec dict)"
+        )
+    try:
+        return CampaignSpec.from_dict(spec)
+    except SynthError as exc:
+        raise JobError(str(exc)) from None
 
 
 class AnalysisService:
@@ -203,13 +284,12 @@ class AnalysisService:
             if metrics is not None:
                 metrics.rate_limited.labels(tenant=tenant).inc()
             raise RateLimited(tenant, retry_after)
+        key = self._resolve(kind, params)
         try:
-            self.breaker.check(self._cell_key(kind, params))
+            self.breaker.check(params["_cell"])
         except BreakerOpen:
             self._count("evicted")
             raise
-
-        key = self._coalesce_key(kind, params)
         with self._lock:
             if not self._accepting:
                 raise ServiceDraining("service is draining")
@@ -249,7 +329,7 @@ class AnalysisService:
             total = (
                 job.params["_campaign"].scenarios
                 if job.kind == "synth"
-                else len(job.params.get("_specs", ()))
+                else len(job.params["_specs"])
             )
             progress = CampaignProgress(job.id, total=total)
             self._campaigns[job.id] = progress
@@ -268,30 +348,6 @@ class AnalysisService:
         if metrics is not None:
             metrics.queue_depth.set(len(self._queue))
 
-    def _cell_key(self, kind: str, params: Dict[str, Any]) -> str:
-        """The executor-cell identity the circuit breaker trips on.
-
-        Deterministic simulation means a crash is a property of the
-        cell, not of the moment -- so eviction keys on what would
-        recompute (program/size/seed, archived run, synth spec), not
-        on tenant or request.
-        """
-        if kind == "run":
-            return (
-                f"run:{params.get('property')}"
-                f":{params.get('size', 8)}:{params.get('threads', 4)}"
-                f":{params.get('seed', 0)}"
-            )
-        if kind == "analyze":
-            return f"analyze:{params.get('run')}"
-        if kind == "diff":
-            return f"diff:{params.get('before')}:{params.get('after')}"
-        if kind == "synth":
-            spec = params.get("spec")
-            name = spec.get("name") if isinstance(spec, dict) else None
-            return f"synth:{name}"
-        return kind
-
     def _on_breaker_transition(self, key: str, state: str) -> None:
         metrics = service_metrics()
         if metrics is not None:
@@ -307,144 +363,83 @@ class AnalysisService:
         if metrics is not None:
             metrics.journal_records.inc()
 
-    def _checkpoint_path(self, job: Job) -> Optional[str]:
-        """Where a campaign/synth job checkpoints its cells.
-
-        Keyed by job id, which recovery preserves -- so a resumed job
-        replays exactly the cells its pre-crash incarnation finished.
-        """
-        if self.state_dir is None:
-            return None
-        return str(self.state_dir / "checkpoints" / f"{job.id}.jsonl")
-
-    def _coalesce_key(
+    def _resolve(
         self, kind: str, params: Dict[str, Any]
     ) -> Optional[Tuple]:
-        """Derive the dedup key; resolves archive refs as a side effect.
+        """Read one submission's params; returns its coalesce key.
 
-        Unknown refs surface here, at submit time, as
-        :class:`JobError` -- a 404 the client gets immediately rather
-        than a failed job it would have to poll for.
+        The only reader of client keys: it types and range-checks
+        every input a job body uses, resolves property names and
+        archive refs, applies defaults, and stores the results under
+        ``_``-prefixed keys, which the bodies read and the journal
+        strips.  The coalesce key holds every input the body reads
+        (campaign, synth, export and history jobs never coalesce);
+        ``_cell``, the breaker cell, names the resolved identity, so
+        two prefixes of one run share a cell.  Malformed values raise
+        :class:`JobError` (a 400) before the job is journaled, queued
+        or seen by the breaker.
         """
-        if kind == "analyze":
-            run = self._resolve_ref(params.get("run"))
-            params["_run"] = run
-            return (
-                "analyze",
-                run.trace_digest,
-                detector_set_fingerprint(_default_detectors()),
+        params["_cell"] = kind
+        if kind in ("analyze", "diff"):
+            threshold = params["_threshold"] = _number(
+                params, "threshold", self.threshold
             )
-        if kind == "diff":
-            before = self._resolve_ref(params.get("before"), "before")
-            after = self._resolve_ref(params.get("after"), "after")
-            params["_before"] = before
-            params["_after"] = after
+            refs = ("run",) if kind == "analyze" else ("before", "after")
+            runs = [self._resolve_ref(params.get(ref), ref) for ref in refs]
+            for ref, run in zip(refs, runs):
+                params["_" + ref] = run
+            params["_cell"] = ":".join([kind] + [r.run_id for r in runs])
             return (
-                "diff",
-                before.trace_digest,
-                after.trace_digest,
-                detector_set_fingerprint(_default_detectors()),
-                float(params.get("threshold", self.threshold)),
+                kind,
+                *[run.trace_digest for run in runs],
+                detector_set_fingerprint(DEFAULT_DETECTORS),
+                threshold,
             )
         if kind == "run":
-            spec, run_kwargs = self._resolve_run_params(params)
-            params["_spec"] = spec
-            params["_kwargs"] = run_kwargs
-            return (
-                "run",
-                spec.name,
-                run_kwargs["size"],
-                run_kwargs["num_threads"],
-                run_kwargs["seed"],
+            spec = params["_spec"] = _property(params.get("property"))
+            kwargs = params["_kwargs"] = _grid(params)
+            if spec.paradigm != "omp" and kwargs["size"] < spec.min_size:
+                raise JobError(
+                    f"'size' must be >= {spec.min_size} for {spec.name}"
+                    f", got {kwargs['size']}"
+                )
+            kwargs["severity_scale"] = _number(
+                params, "severity_scale", None
             )
+            # size, num_threads, seed, severity_scale
+            identity = (spec.name, *kwargs.values())
+            params["_cell"] = "run:" + ":".join(map(str, identity))
+            return ("run",) + identity
         if kind == "campaign":
-            params["_specs"] = self._resolve_campaign_specs(params)
-        if kind == "synth":
-            params["_campaign"] = self._resolve_synth_spec(params)
-        if kind == "export":
-            params["_runs"] = self._resolve_export_runs(params)
+            specs = [_property(n) for n in _list(params, "properties")]
+            params["_specs"] = specs or list_properties()
+            params["_kwargs"] = _grid(params)
+            params["_timeout"] = _number(params, "timeout", None)
+            params["_retries"] = _number(params, "retries", 0)
+        elif kind == "synth":
+            spec = params["_campaign"] = _campaign_spec(params.get("spec"))
+            params["_threshold"] = _number(
+                params, "threshold", self.threshold
+            )
+            params["_timeout"] = _number(params, "timeout", None)
+            params["_retries"] = _number(
+                params, "retries", spec.max_retries
+            )
+            params["_cell"] = f"synth:{spec.name}"
+        elif kind == "export":
+            refs = _list(params, "runs")
+            runs = [self._resolve_ref(ref, "runs") for ref in refs]
+            params["_runs"] = runs or None
+            params["_csv"] = bool(params.get("csv"))
         return None
 
-    def _resolve_ref(self, ref, label: str = "run") -> ArchivedRun:
+    def _resolve_ref(self, ref, label: str) -> ArchivedRun:
         if not ref or not isinstance(ref, str):
             raise JobError(f"missing {label!r} run reference")
         try:
             return self.archive.resolve(ref)
         except ArchiveError as exc:
             raise JobError(str(exc)) from None
-
-    def _resolve_run_params(self, params: Dict[str, Any]):
-        from ..core import get_property
-
-        name = params.get("property")
-        if not name or not isinstance(name, str):
-            raise JobError("missing 'property' name")
-        try:
-            spec = get_property(name)
-        except KeyError:
-            raise JobError(
-                f"unknown property function {name!r}"
-            ) from None
-        run_kwargs = {
-            "size": int(params.get("size", 8)),
-            "num_threads": int(params.get("threads", 4)),
-            "seed": int(params.get("seed", 0)),
-        }
-        scale = params.get("severity_scale")
-        if scale is not None:
-            run_kwargs["severity_scale"] = float(scale)
-        return spec, run_kwargs
-
-    def _resolve_campaign_specs(self, params: Dict[str, Any]):
-        from ..core import get_property, list_properties
-
-        names = params.get("properties")
-        if not names:
-            return list_properties()
-        specs = []
-        for name in names:
-            try:
-                specs.append(get_property(name))
-            except KeyError:
-                raise JobError(
-                    f"unknown property function {name!r}"
-                ) from None
-        return specs
-
-    def _resolve_synth_spec(self, params: Dict[str, Any]):
-        from ..synth import CampaignSpec, SynthError
-
-        spec = params.get("spec")
-        if not isinstance(spec, dict):
-            raise JobError(
-                "synth jobs need a 'spec' object (a CampaignSpec dict)"
-            )
-        try:
-            return CampaignSpec.from_dict(spec)
-        except SynthError as exc:
-            raise JobError(str(exc)) from None
-
-    def _resolve_export_runs(self, params: Dict[str, Any]):
-        """Resolve an export job's run filter at submit time.
-
-        ``runs`` is an optional list of archive run refs (id prefixes);
-        unknown refs surface as an immediate 400 instead of a failed
-        job.  ``None`` means export every labeled run in the archive.
-        """
-        refs = params.get("runs")
-        if not refs:
-            return None
-        if not isinstance(refs, list):
-            raise JobError("'runs' must be a list of run references")
-        records = []
-        for ref in refs:
-            if not ref or not isinstance(ref, str):
-                raise JobError("'runs' entries must be run references")
-            try:
-                records.append(self.archive.resolve(ref))
-            except ArchiveError as exc:
-                raise JobError(str(exc)) from None
-        return records
 
     # ------------------------------------------------------------------
     # execution
@@ -526,7 +521,7 @@ class AnalysisService:
                 metrics.jobs.labels(kind=job.kind, status=status).inc()
                 metrics.executed.inc()
             self._idle.notify_all()
-        cell = self._cell_key(job.kind, job.params)
+        cell = job.params["_cell"]
         if task.exception is not None:
             exc = task.exception
             job.resolve(None, f"{type(exc).__name__}: {exc}")
@@ -566,10 +561,10 @@ class AnalysisService:
         )
 
     def _job_run(self, job: Job) -> dict:
-        spec = job.params["_spec"]
-        kwargs = job.params["_kwargs"]
         with self._sim_lock:
-            run = self.archive.archive_run(spec, **kwargs)
+            run = self.archive.archive_run(
+                job.params["_spec"], **job.params["_kwargs"]
+            )
         return {
             "run_id": run.run_id,
             "program": run.program,
@@ -583,29 +578,26 @@ class AnalysisService:
         stats = CacheStats()
         analysis = self.archive.analyze(run, stats=stats)
         self._count_cache(job, stats)
-        threshold = float(job.params.get("threshold", self.threshold))
         return {
-            "run_id": job.params.get("run"),
+            "run_id": run.run_id,
             "program": run.program,
             "severities": analysis.severities_by_property(),
-            "detected": list(analysis.detected(threshold)),
+            "detected": list(analysis.detected(job.params["_threshold"])),
             "findings": len(analysis.findings),
             "total_time": analysis.total_time,
             "cache": {"hits": stats.hits, "misses": stats.misses},
         }
 
     def _job_diff(self, job: Job) -> dict:
+        before, after = job.params["_before"], job.params["_after"]
         stats = CacheStats()
         report = self.archive.diff(
-            job.params["_before"],
-            job.params["_after"],
-            threshold=float(job.params.get("threshold", self.threshold)),
-            stats=stats,
+            before, after, threshold=job.params["_threshold"], stats=stats
         )
         self._count_cache(job, stats)
         return {
-            "before": job.params.get("before"),
-            "after": job.params.get("after"),
+            "before": before.run_id,
+            "after": after.run_id,
             "report": report.to_dict(),
             "gate_failures": report.gate_failures(),
             "cache": {"hits": stats.hits, "misses": stats.misses},
@@ -621,72 +613,75 @@ class AnalysisService:
             ],
         }
 
-    def _job_campaign(self, job: Job) -> dict:
-        from ..resilience import Supervisor
-        from ..validation import run_validation_matrix
+    def _supervised(self, job: Job, sweep):
+        """Run a campaign or synth job's ``sweep(supervisor)``.
 
-        specs = job.params["_specs"]
-        progress: CampaignProgress = job.params["_progress"]
+        The supervisor takes the job's resolved timeout and retries,
+        feeds its live progress, and checkpoints cells to a file keyed
+        by job id, which recovery preserves -- so a resumed job
+        replays exactly the cells its pre-crash incarnation finished.
+        """
+        from ..resilience import Supervisor
+
+        checkpoint = None
+        if self.state_dir is not None:
+            checkpoint = str(
+                self.state_dir / "checkpoints" / f"{job.id}.jsonl"
+            )
         supervisor = Supervisor(
-            timeout=job.params.get("timeout"),
-            retries=int(job.params.get("retries", 0)),
-            on_event=progress.on_event,
-            checkpoint=self._checkpoint_path(job),
+            timeout=job.params["_timeout"],
+            retries=job.params["_retries"],
+            on_event=job.params["_progress"].on_event,
+            checkpoint=checkpoint,
         )
         try:
             with self._sim_lock:
-                matrix = run_validation_matrix(
-                    specs,
-                    size=int(job.params.get("size", 8)),
-                    num_threads=int(job.params.get("threads", 4)),
-                    seed=int(job.params.get("seed", 0)),
-                    supervisor=supervisor,
-                    archive=self.archive,
-                )
+                return sweep(supervisor)
         finally:
             supervisor.close()
+
+    def _job_campaign(self, job: Job) -> dict:
+        from ..validation import run_validation_matrix
+
+        matrix = self._supervised(
+            job,
+            lambda supervisor: run_validation_matrix(
+                job.params["_specs"],
+                supervisor=supervisor,
+                archive=self.archive,
+                **job.params["_kwargs"],
+            ),
+        )
         return {
             "rows": [row.to_dict() for row in matrix.rows],
             "all_passed": matrix.all_passed,
             "positive_detection_rate": matrix.positive_detection_rate,
             "false_positive_rate": matrix.false_positive_rate,
-            "progress": progress.snapshot(),
+            "progress": job.params["_progress"].snapshot(),
         }
 
     def _job_synth(self, job: Job) -> dict:
-        from ..resilience import Supervisor
         from ..synth import CampaignError, run_campaign, score_result
 
-        spec = job.params["_campaign"]
-        progress: CampaignProgress = job.params["_progress"]
-        supervisor = Supervisor(
-            timeout=job.params.get("timeout"),
-            retries=int(job.params.get("retries", spec.max_retries)),
-            on_event=progress.on_event,
-            checkpoint=self._checkpoint_path(job),
-        )
         aborted = None
         try:
-            with self._sim_lock:
-                result = run_campaign(
-                    spec,
-                    threshold=float(
-                        job.params.get("threshold", self.threshold)
-                    ),
+            result = self._supervised(
+                job,
+                lambda supervisor: run_campaign(
+                    job.params["_campaign"],
+                    threshold=job.params["_threshold"],
                     supervisor=supervisor,
                     archive=self.archive,
-                )
+                ),
+            )
         except CampaignError as exc:
             result = exc.result
             aborted = str(exc)
-        finally:
-            supervisor.close()
-        score = score_result(result)
         return {
             "campaign": result.to_json_dict(),
-            "score": score.to_json_dict(),
+            "score": score_result(result).to_json_dict(),
             "aborted": aborted,
-            "progress": progress.snapshot(),
+            "progress": job.params["_progress"].snapshot(),
         }
 
     def _job_export(self, job: Job) -> dict:
@@ -694,7 +689,7 @@ class AnalysisService:
 
         stats = CacheStats()
         rows = dataset_rows(
-            self.archive, runs=job.params.get("_runs"), stats=stats
+            self.archive, runs=job.params["_runs"], stats=stats
         )
         self._count_cache(job, stats)
         result = {
@@ -703,7 +698,7 @@ class AnalysisService:
             "jsonl": rows_to_jsonl(rows),
             "cache": {"hits": stats.hits, "misses": stats.misses},
         }
-        if job.params.get("csv"):
+        if job.params["_csv"]:
             result["csv"] = rows_to_csv(rows)
         return result
 
@@ -762,7 +757,7 @@ class AnalysisService:
         kind = payload.get("kind", "")
         params = dict(payload.get("params") or {})
         try:
-            key = self._coalesce_key(kind, params)
+            key = self._resolve(kind, params)
             job = Job(
                 kind,
                 params,
@@ -943,8 +938,3 @@ class AnalysisService:
             self.journal.close()
         self.archive.close()
 
-
-def _default_detectors():
-    from ..analysis import DEFAULT_DETECTORS
-
-    return DEFAULT_DETECTORS

@@ -112,6 +112,37 @@ def test_analysis_spans_recorded(enabled):
     assert "analysis:LateSenderDetector" in names
 
 
+def test_cold_archived_analyze_times_its_index_build(tmp_path):
+    from repro.archive import Archive
+
+    archive = Archive(tmp_path / "archive")
+    run = archive.archive_run(
+        get_property("late_sender"), size=4, num_threads=2, seed=1
+    )
+
+    def index_build():
+        spans = [s for s in span_log() if s.name == "analysis:index"]
+        seconds = [
+            sample["value"]
+            for metric in to_json()["metrics"]
+            if metric["name"] == "ats_analysis_index_build_seconds_total"
+            for sample in metric["samples"]
+        ]
+        return len(spans), sum(seconds)
+
+    for expect_cold in (True, False):
+        set_metrics_enabled(True)
+        set_spans_enabled(True)
+        reset_metrics()
+        reset_spans()
+        archive.analyze(run)
+        spans, seconds = index_build()
+        if expect_cold:
+            assert spans == 1 and seconds > 0.0
+        else:  # every cell hits: no trace is read, no index built
+            assert spans == 0 and seconds == 0.0
+
+
 def test_disabled_run_records_nothing():
     set_metrics_enabled(False)
     set_spans_enabled(False)

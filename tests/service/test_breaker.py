@@ -167,3 +167,31 @@ class TestServiceIntegration:
         assert job.wait(60)
         assert job.state == "done"
         service.close()
+
+    def test_malformed_submissions_never_trip_a_cell(self, tmp_path):
+        from repro.archive import Archive
+        from repro.core import get_property
+        from repro.service.server import AnalysisService, JobError
+
+        archive = Archive(tmp_path / "archive")
+        run = archive.archive_run(
+            get_property("late_sender"), size=4, num_threads=2, seed=1
+        )
+        service = AnalysisService(archive, max_workers=2)
+        for _ in range(3):
+            try:
+                bad, _ = service.submit(
+                    "analyze", {"run": run.run_id, "threshold": "x"},
+                    tenant="mallory",
+                )
+            except JobError:
+                continue
+            assert bad.wait(30)
+        # another tenant's valid analyze of that run still computes
+        job, _ = service.submit(
+            "analyze", {"run": run.run_id}, tenant="alice"
+        )
+        assert job.wait(30)
+        assert job.state == "done"
+        assert service.status()["breakers"] == []
+        service.close()

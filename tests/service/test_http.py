@@ -82,6 +82,14 @@ def test_bad_submissions_are_400(service_env):
         assert excinfo.value.status == 400
 
 
+def test_malformed_param_is_400_naming_it(service_env):
+    client = ServiceClient(service_env.url)
+    with pytest.raises(ServiceHTTPError) as excinfo:
+        client.submit_run("late_sender", size="x")
+    assert excinfo.value.status == 400
+    assert "size" in excinfo.value.payload["error"]
+
+
 # ----------------------------------------------------------------------
 # coalescing over HTTP
 # ----------------------------------------------------------------------

@@ -135,6 +135,141 @@ def test_concurrent_identical_analyzes_coalesce(service, n):
     assert primary.result["detected"]
 
 
+def _hold_worker(service):
+    """Occupy the single worker; returns the gate that frees it."""
+    gate = threading.Event()
+    service._job_history = lambda job: gate.wait(30) or {"count": 0}
+    service.submit("history", {})
+    return gate
+
+
+def test_threshold_is_part_of_the_analyze_identity(service):
+    run = service.seeded_run
+    gate = _hold_worker(service)
+    default, _ = service.submit("analyze", {"run": run.run_id})
+    strict, coalesced = service.submit(
+        "analyze", {"run": run.run_id, "threshold": 0.9}
+    )
+    gate.set()
+    assert not coalesced and strict.id != default.id
+    assert default.wait(30) and strict.wait(30)
+    assert "late_sender" in default.result["detected"]
+    expected = list(service.archive.analyze(run).detected(0.9))
+    assert strict.result["detected"] == expected
+
+
+def test_severity_scale_is_part_of_the_run_identity(service, tmp_path):
+    base = {"property": "late_sender", "size": 4, "threads": 2, "seed": 3}
+    gate = _hold_worker(service)
+    jobs = [
+        service.submit("run", dict(base, severity_scale=scale))
+        for scale in (1.0, 2.0)
+    ]
+    gate.set()
+    assert [coalesced for _, coalesced in jobs] == [False, False]
+    fresh = Archive(tmp_path / "fresh")
+    for (job, _), scale in zip(jobs, (1.0, 2.0)):
+        assert job.wait(60) and job.state == "done", job.error
+        expected = fresh.archive_run(
+            get_property("late_sender"), size=4, num_threads=2, seed=3,
+            severity_scale=scale,
+        )
+        assert job.result["run_id"] == expected.run_id
+
+
+def test_prefixes_of_one_run_coalesce_onto_its_full_id(service):
+    run_id = service.seeded_run.run_id
+    gate = _hold_worker(service)
+    first, _ = service.submit("analyze", {"run": run_id[:6]})
+    second, coalesced = service.submit("analyze", {"run": run_id[:9]})
+    gate.set()
+    assert coalesced and second is first
+    assert first.wait(30)
+    assert first.result["run_id"] == run_id
+
+
+_RUN = "<seeded run>"
+#: valid params of each kind, to which each case adds one bad value
+_VALID = {
+    "run": {"property": "late_sender"},
+    "analyze": {"run": _RUN},
+    "diff": {"before": _RUN, "after": _RUN},
+    "campaign": {},
+    "synth": {"spec": {"name": "svc-camp", "scenarios": 2}},
+    "export": {},
+}
+
+
+@pytest.mark.parametrize("kind,key,value", [
+    ("run", "size", "x"),
+    ("run", "size", 0),
+    ("run", "size", True),
+    ("run", "size", 1),  # under late_sender's min_size
+    ("run", "threads", 0),
+    ("run", "threads", "two"),
+    ("run", "seed", "x"),
+    ("run", "seed", False),
+    ("run", "severity_scale", 0),
+    ("run", "severity_scale", "inf"),
+    ("run", "severity_scale", "nan"),
+    ("analyze", "threshold", "x"),
+    ("analyze", "threshold", -0.5),
+    ("analyze", "threshold", "inf"),
+    ("analyze", "threshold", True),
+    ("diff", "threshold", "x"),
+    ("campaign", "size", "x"),
+    ("campaign", "threads", -1),
+    ("campaign", "timeout", 0),
+    ("campaign", "retries", -1),
+    ("campaign", "retries", "x"),
+    ("campaign", "properties", "late_sender"),
+    ("synth", "threshold", "x"),
+    ("synth", "timeout", -1),
+    ("synth", "retries", [1]),
+    ("export", "runs", _RUN),
+])
+def test_malformed_params_rejected_before_the_journal(
+    tmp_path, kind, key, value
+):
+    archive = Archive(tmp_path / "archive")
+    run = archive.archive_run(
+        get_property("late_sender"), size=4, num_threads=2, seed=1
+    )
+    svc = AnalysisService(archive, state_dir=tmp_path / "state")
+    params = dict(_VALID[kind], **{key: value})
+    params = {k: run.run_id if v == _RUN else v for k, v in params.items()}
+    with pytest.raises(JobError, match=key):
+        svc.submit(kind, params)
+    assert svc.counts["submitted"] == 0
+    assert svc.journal.load() == {}
+    assert svc.breaker.snapshot() == []
+    svc.close()
+
+
+def test_recovery_orphans_a_spec_that_no_longer_parses(tmp_path):
+    from types import SimpleNamespace
+
+    from repro.service.journal import ServiceJournal
+
+    state = tmp_path / "state"
+    state.mkdir()
+    with ServiceJournal(state / "jobs.jsonl") as journal:
+        journal.record_state(SimpleNamespace(
+            id="job-000900", kind="run", tenant="default",
+            params={"property": "late_sender", "size": "x"},
+            request_id="req-planted", state="queued",
+            error=None, result=None,
+        ))
+    svc = AnalysisService(
+        Archive(tmp_path / "archive"), state_dir=state, recover=True
+    )
+    job = svc.get_job("job-000900")
+    assert job.state == "orphaned"
+    assert "'size'" in job.error
+    assert svc.counts["orphaned"] == 1
+    svc.close()
+
+
 def test_coalescing_does_not_join_resolved_jobs(service):
     ref = service.seeded_run.run_id
     first, _ = service.submit("analyze", {"run": ref})

@@ -111,3 +111,14 @@ def test_unknown_property_is_clean_error(served, capsys):
     ])
     assert code == 2
     assert "unknown property function" in capsys.readouterr().err
+
+
+def test_run_under_min_size_is_clean_error(served, capsys):
+    code = main([
+        "submit", "run", "late_sender", "--size", "1",
+        "--server", served.url, "--wait",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ats: error:")
+    assert "'size'" in err[0]
