@@ -96,17 +96,15 @@ def analyze_events(
     for detector in detectors:
         name = type(detector).__name__
         with span(f"analysis:{name}", cat="analysis"):
-            if metrics is None:
-                findings.extend(detector.detect(index, config))
-            else:
-                t0 = perf_counter()
-                found = list(detector.detect(index, config))
+            t0 = perf_counter() if metrics is not None else 0.0
+            found = list(detector.detect(index, config))
+            if metrics is not None:
                 metrics.detector_seconds.labels(detector=name).inc(
                     perf_counter() - t0
                 )
                 for finding in found:
                     metrics.findings.labels(property=finding.property).inc()
-                findings.extend(found)
+        findings.extend(found)
     if total_time is None:
         total_time = index.events[-1].time if index.events else 0.0
     return AnalysisResult(

@@ -10,13 +10,12 @@ communicator-local root 1 is reported as global rank 9).
 from __future__ import annotations
 
 from collections import defaultdict
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from ..simkernel import current_process
-from ..trace.api import current_instrumentation
+from ..trace.api import current_instrumentation, region
 from . import collectives as _coll
 from .buffers import MpiBuf, MpiVBuf
 from .datatypes import MPI_LONG, Datatype, Op
@@ -87,26 +86,6 @@ class Communicator:
                 f"rank {r} out of range for {self.name} "
                 f"(size {len(self.group)})"
             )
-
-    # ------------------------------------------------------------------
-    # instrumentation helpers
-    # ------------------------------------------------------------------
-
-    @contextmanager
-    def _region(self, name: str) -> Iterator[None]:
-        rec, loc = current_instrumentation()
-        proc = current_process()
-        if rec is not None:
-            rec.enter(proc.sim.now, loc, name)
-            if rec.intrusion_per_event:
-                proc.sim.hold(rec.intrusion_per_event)
-        try:
-            yield
-        finally:
-            if rec is not None:
-                rec.exit(proc.sim.now, loc, name)
-                if rec.intrusion_per_event:
-                    proc.sim.hold(rec.intrusion_per_event)
 
     # ------------------------------------------------------------------
     # point-to-point: nonblocking core
@@ -217,7 +196,7 @@ class Communicator:
 
     def isend(self, buf: MpiBuf, dest: int, tag: int = 0) -> Request:
         """Nonblocking send (``MPI_Isend``)."""
-        with self._region("MPI_Isend"):
+        with region("MPI_Isend"):
             req = self._post_isend(buf, dest, tag)
             proc = current_process()
             proc.sim.hold(self.world.transport.send_overhead)
@@ -227,7 +206,7 @@ class Communicator:
         self, buf: MpiBuf, source: int = ANY_SOURCE, tag: int = ANY_TAG
     ) -> Request:
         """Nonblocking receive (``MPI_Irecv``)."""
-        with self._region("MPI_Irecv"):
+        with region("MPI_Irecv"):
             req = self._post_irecv(buf, source, tag)
         return req
 
@@ -238,7 +217,7 @@ class Communicator:
         overhead; with rendezvous it blocks until the receiver arrives
         -- the *late receiver* situation.
         """
-        with self._region("MPI_Send"):
+        with region("MPI_Send"):
             req = self._post_isend(buf, dest, tag)
             req.wait()
 
@@ -254,20 +233,20 @@ class Communicator:
         sender has not even started yet, the blocked time is the *late
         sender* pattern.
         """
-        with self._region("MPI_Recv"):
+        with region("MPI_Recv"):
             req = self._post_irecv(buf, source, tag)
             status = req.wait()
         return status
 
     def wait(self, request: Request) -> Status:
         """Complete one nonblocking operation (``MPI_Wait``)."""
-        with self._region("MPI_Wait"):
+        with region("MPI_Wait"):
             status = request.wait()
         return status
 
     def waitall(self, requests: Sequence[Request]) -> list[Status]:
         """Complete several nonblocking operations (``MPI_Waitall``)."""
-        with self._region("MPI_Waitall"):
+        with region("MPI_Waitall"):
             statuses = [req.wait() for req in requests]
         return statuses
 
@@ -283,7 +262,7 @@ class Communicator:
         if not requests:
             raise MpiError("waitany on an empty request list")
         proc = current_process()
-        with self._region("MPI_Waitany"):
+        with region("MPI_Waitany"):
             while True:
                 pending = [
                     (req.completion_time, i)
@@ -331,7 +310,7 @@ class Communicator:
         recvtag: int = ANY_TAG,
     ) -> Status:
         """Combined send and receive (``MPI_Sendrecv``), deadlock-free."""
-        with self._region("MPI_Sendrecv"):
+        with region("MPI_Sendrecv"):
             rreq = self._post_irecv(recvbuf, source, recvtag)
             sreq = self._post_isend(sendbuf, dest, sendtag)
             sreq.wait()
@@ -375,7 +354,7 @@ class Communicator:
         proc = current_process()
         me = self.rank()
         engine = self.world.engine
-        with self._region("MPI_Probe"):
+        with region("MPI_Probe"):
             while True:
                 item = engine.find_send(self.comm_id, me, source, tag)
                 if item is not None:
@@ -447,34 +426,31 @@ class Communicator:
         bytes_sent: int = 0,
         bytes_recv: int = 0,
     ):
-        """Shared wrapper: trace region + instance + CollExit event."""
+        """Shared wrapper: trace region + instance + CollExit event.
+
+        ``enter_time`` is read before the region opens, and the
+        CollExit event is recorded inside it, so it precedes the Exit.
+        """
         instance = self._next_instance()
         rec, loc = current_instrumentation()
         proc = current_process()
         enter_time = proc.sim.now
-        if rec is not None:
-            rec.enter(enter_time, loc, op_name)
-            if rec.intrusion_per_event:
-                proc.sim.hold(rec.intrusion_per_event)
-        try:
-            result = algo(instance)
-        finally:
-            if rec is not None:
-                rec.coll_exit(
-                    proc.sim.now,
-                    loc,
-                    op=op_name,
-                    comm_id=self.comm_id,
-                    instance=instance,
-                    root=self.global_rank(root) if root >= 0 else -1,
-                    enter_time=enter_time,
-                    bytes_sent=bytes_sent,
-                    bytes_recv=bytes_recv,
-                )
-                rec.exit(proc.sim.now, loc, op_name)
-                if rec.intrusion_per_event:
-                    proc.sim.hold(rec.intrusion_per_event)
-        return result
+        with region(op_name):
+            try:
+                return algo(instance)
+            finally:
+                if rec is not None:
+                    rec.coll_exit(
+                        proc.sim.now,
+                        loc,
+                        op=op_name,
+                        comm_id=self.comm_id,
+                        instance=instance,
+                        root=self.global_rank(root) if root >= 0 else -1,
+                        enter_time=enter_time,
+                        bytes_sent=bytes_sent,
+                        bytes_recv=bytes_recv,
+                    )
 
     def barrier(self) -> None:
         """``MPI_Barrier`` (dissemination algorithm)."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
 from ..simkernel import Simulator, current_process
-from ..trace.api import bind_instrumentation
+from ..trace.api import bind_instrumentation, region
 from ..trace.events import Event, Location
 from ..trace.recorder import TraceRecorder
 from ..trace.stats import TraceProfile, profile_trace
@@ -119,35 +119,29 @@ class MpiWorld:
     # rank lifecycle
     # ------------------------------------------------------------------
 
-    def _mpi_init(self, rank: int) -> None:
-        proc = current_process()
-        rec = self.recorder
-        loc = Location(rank, 0)
-        if rec is not None:
-            rec.enter(proc.sim.now, loc, "MPI_Init")
-        if self.model_init_overhead:
-            # Per-rank jitter makes init realistic (daemon contact,
-            # connection setup) while staying deterministic.
-            rng = proc.context["rng"]
-            cost = self.transport.init_cost(self.size)
-            proc.sim.hold(cost * (0.8 + 0.4 * rng.random()))
-            _coll.barrier(self.comm_world, self.comm_world._next_instance())
-        if rec is not None:
-            rec.exit(proc.sim.now, loc, "MPI_Init")
+    def _mpi_init(self) -> None:
+        with region("MPI_Init"):
+            if self.model_init_overhead:
+                # Per-rank jitter makes init realistic (daemon contact,
+                # connection setup) while staying deterministic.
+                proc = current_process()
+                rng = proc.context["rng"]
+                cost = self.transport.init_cost(self.size)
+                proc.sim.hold(cost * (0.8 + 0.4 * rng.random()))
+                _coll.barrier(
+                    self.comm_world, self.comm_world._next_instance()
+                )
 
-    def _mpi_finalize(self, rank: int) -> None:
-        proc = current_process()
-        rec = self.recorder
-        loc = Location(rank, 0)
-        if rec is not None:
-            rec.enter(proc.sim.now, loc, "MPI_Finalize")
-        if self.model_init_overhead:
-            _coll.barrier(self.comm_world, self.comm_world._next_instance())
-            rng = proc.context["rng"]
-            cost = self.transport.finalize_cost(self.size)
-            proc.sim.hold(cost * (0.8 + 0.4 * rng.random()))
-        if rec is not None:
-            rec.exit(proc.sim.now, loc, "MPI_Finalize")
+    def _mpi_finalize(self) -> None:
+        with region("MPI_Finalize"):
+            if self.model_init_overhead:
+                _coll.barrier(
+                    self.comm_world, self.comm_world._next_instance()
+                )
+                proc = current_process()
+                rng = proc.context["rng"]
+                cost = self.transport.finalize_cost(self.size)
+                proc.sim.hold(cost * (0.8 + 0.4 * rng.random()))
 
     def _rank_body(
         self,
@@ -161,9 +155,9 @@ class MpiWorld:
         proc.context["mpi_world"] = self
         proc.context["rng"] = self.sim.rng.spawn(rank)
         bind_instrumentation(self.recorder, Location(rank, 0))
-        self._mpi_init(rank)
+        self._mpi_init()
         result = main(self.comm_world, *args, **kwargs)
-        self._mpi_finalize(rank)
+        self._mpi_finalize()
         return result
 
     # ------------------------------------------------------------------

@@ -8,10 +8,8 @@ acquisition wait, so lock contention is directly measurable.
 
 from __future__ import annotations
 
-from typing import Iterator
-
-from ..simkernel import SimMutex, current_process
-from ..trace.api import current_instrumentation
+from ..simkernel import SimMutex
+from ..trace.api import region
 
 #: trace region covering lock-acquisition waits
 LOCK_REGION = "omp_lock"
@@ -29,13 +27,8 @@ class OmpLock:
 
         The blocked interval is traced as an ``omp_lock`` region.
         """
-        proc = current_process()
-        rec, loc = current_instrumentation()
-        if rec is not None:
-            rec.enter(proc.sim.now, loc, LOCK_REGION)
-        self._mutex.acquire()
-        if rec is not None:
-            rec.exit(proc.sim.now, loc, LOCK_REGION)
+        with region(LOCK_REGION):
+            self._mutex.acquire()
 
     def unset(self) -> None:
         """Release (``omp_unset_lock``); must be held by the caller."""

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Optional
 
 from ..simkernel import current_process
-from ..trace.api import bind_instrumentation, current_instrumentation
+from ..trace.api import bind_instrumentation, current_instrumentation, region
 from ..trace.events import Location
 from .team import OmpError, Team, current_team, require_team
 
@@ -93,17 +93,13 @@ def omp_parallel(
         master_rng = master.context.get("rng")
         if master_rng is not None:
             proc.context["rng"] = master_rng.spawn(1000 + thread_num)
-        loc = locations[thread_num]
-        bind_instrumentation(rec, loc)
-        if rec is not None:
-            rec.enter(proc.sim.now, loc, "omp_parallel")
-        try:
-            result = body(*args, **kwargs)
-        finally:
-            # Implicit barrier at region end (no nowait in OpenMP).
-            team.barrier(region=IBARRIER_PARALLEL)
-            if rec is not None:
-                rec.exit(proc.sim.now, loc, "omp_parallel")
+        bind_instrumentation(rec, locations[thread_num])
+        with region("omp_parallel"):
+            try:
+                result = body(*args, **kwargs)
+            finally:
+                # Implicit barrier at region end (no nowait in OpenMP).
+                team.barrier(region=IBARRIER_PARALLEL)
         team._thread_done(thread_num, result)
         return result
 
@@ -139,18 +135,11 @@ def omp_for(
     end-of-loop barrier unless ``nowait``.
     """
     team = require_team()
-    proc = current_process()
-    rec, loc = current_instrumentation()
-    if rec is not None:
-        rec.enter(proc.sim.now, loc, "omp_for")
-    try:
+    with region("omp_for"):
         for i in team.loop_chunks(iterations, schedule, chunk):
             body(i)
         if not nowait:
             team.barrier(region=IBARRIER_FOR)
-    finally:
-        if rec is not None:
-            rec.exit(proc.sim.now, loc, "omp_for")
 
 
 def omp_sections(
@@ -158,18 +147,11 @@ def omp_sections(
 ) -> None:
     """``#pragma omp sections``: distribute section bodies dynamically."""
     team = require_team()
-    proc = current_process()
-    rec, loc = current_instrumentation()
-    if rec is not None:
-        rec.enter(proc.sim.now, loc, "omp_sections")
-    try:
+    with region("omp_sections"):
         for i in team.loop_chunks(len(bodies), schedule="dynamic"):
             bodies[i]()
         if not nowait:
             team.barrier(region=IBARRIER_SECTIONS)
-    finally:
-        if rec is not None:
-            rec.exit(proc.sim.now, loc, "omp_sections")
 
 
 @contextmanager
@@ -181,18 +163,13 @@ def omp_critical(name: str = "default") -> Iterator[None]:
     property.
     """
     team = require_team()
-    proc = current_process()
-    rec, loc = current_instrumentation()
-    if rec is not None:
-        rec.enter(proc.sim.now, loc, "omp_critical")
-    mutex = team.critical(name)
-    mutex.acquire()
-    try:
-        yield
-    finally:
-        mutex.release()
-        if rec is not None:
-            rec.exit(proc.sim.now, loc, "omp_critical")
+    with region("omp_critical"):
+        mutex = team.critical(name)
+        mutex.acquire()
+        try:
+            yield
+        finally:
+            mutex.release()
 
 
 @contextmanager

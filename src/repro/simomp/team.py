@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..obs.instruments import omp_metrics
 from ..simkernel import SimBarrier, SimMutex, SimProcess, current_process
-from ..trace.api import current_instrumentation
+from ..trace.api import region as traced_region
 from ..trace.events import Location
 
 
@@ -115,18 +115,14 @@ class Team:
         """
         proc = current_process()
         self.thread_num_of(proc)  # membership check
-        rec, loc = current_instrumentation()
         m = self._metrics
-        if rec is not None:
-            rec.enter(proc.sim.now, loc, region)
-        if m is not None:
-            arrived = proc.sim.now
-        self._barrier.wait()
-        if m is not None:
-            m.barrier_waits.inc()
-            m.barrier_wait_seconds.observe(proc.sim.now - arrived)
-        if rec is not None:
-            rec.exit(proc.sim.now, loc, region)
+        with traced_region(region):
+            if m is not None:
+                arrived = proc.sim.now
+            self._barrier.wait()
+            if m is not None:
+                m.barrier_waits.inc()
+                m.barrier_wait_seconds.observe(proc.sim.now - arrived)
 
     def critical(self, name: str = "default") -> SimMutex:
         """The named critical-section mutex (shared per team)."""

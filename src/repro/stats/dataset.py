@@ -23,13 +23,13 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..archive.cache import CacheStats, archived_events, count_lookup
 from ..obs.instruments import stats_metrics
 from ..obs.spans import span
-from .features import FEATURE_VERSION, FeatureMatrix, behavior_matrix
+from .detector import derive_features
+from .features import FEATURE_VERSION, FeatureMatrix
 
 #: artifact format tag every exported JSONL row carries
 DATASET_FORMAT = "ats-dataset-row"
@@ -73,13 +73,9 @@ def features_for_run(
     count_lookup(stats, "features", blob is not None)
     if blob is not None:
         return FeatureMatrix.from_dict(json.loads(blob))
-    events = archived_events(store, run.trace_digest)
-    metrics = stats_metrics()
-    t0 = perf_counter() if metrics is not None else 0.0
-    matrix = behavior_matrix(events, total_time=run.final_time)
-    if metrics is not None:
-        metrics.feature_seconds.inc(perf_counter() - t0)
-        metrics.feature_rows.inc(len(matrix))
+    matrix = derive_features(
+        archived_events(store, run.trace_digest), total_time=run.final_time
+    )
     store.put_named(
         key,
         json.dumps(matrix.to_dict(), sort_keys=True).encode("utf-8"),

@@ -21,7 +21,8 @@ synth campaign scoring like any rule-based detector.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Sequence, Tuple
+from time import perf_counter
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from ..analysis.detectors.base import AnalysisConfig
 from ..analysis.index import TraceIndex
@@ -148,9 +149,17 @@ def grade_cell(
     )
 
 
-def _as_matrix(
-    events: Sequence[Event], total_time_hint: float = 0.0
+def derive_features(
+    events: Sequence[Event], total_time: Optional[float] = None
 ) -> FeatureMatrix:
+    """``behavior_matrix`` of ``events``, timed as one feature step.
+
+    The step is bracketed by a ``stats:features`` span and counted
+    into the stats feature seconds and rows.  Both detectors and the
+    dataset export derive features here.  ``behavior_matrix`` is
+    called through this module's global, which perfbench's layer
+    probes rebind.
+    """
     index = (
         events
         if isinstance(events, TraceIndex)
@@ -158,15 +167,12 @@ def _as_matrix(
     )
     metrics = stats_metrics()
     with span("stats:features", cat="stats", rows=len(index.locations)):
-        if metrics is None:
-            return behavior_matrix(index)
-        from time import perf_counter
-
-        t0 = perf_counter()
-        matrix = behavior_matrix(index)
-        metrics.feature_seconds.inc(perf_counter() - t0)
-        metrics.feature_rows.inc(len(matrix))
-        return matrix
+        t0 = perf_counter() if metrics is not None else 0.0
+        matrix = behavior_matrix(index, total_time=total_time)
+        if metrics is not None:
+            metrics.feature_seconds.inc(perf_counter() - t0)
+            metrics.feature_rows.inc(len(matrix))
+    return matrix
 
 
 class SimilarityDetector:
@@ -210,30 +216,20 @@ class SimilarityDetector:
     def detect(
         self, events: Sequence[Event], config: AnalysisConfig
     ) -> Iterable[Finding]:
-        matrix = _as_matrix(events)
+        matrix = derive_features(events)
         if len(matrix) < self.min_rows:
             return
         metrics = stats_metrics()
         with span("stats:cluster", cat="stats", rows=len(matrix)):
-            if metrics is None:
-                assign = cluster_rows(
-                    matrix.rows,
-                    k=self.k,
-                    metric=self.metric,
-                    method=self.method,
-                    seed=self.seed,
-                )
-            else:
-                from time import perf_counter
-
-                t0 = perf_counter()
-                assign = cluster_rows(
-                    matrix.rows,
-                    k=self.k,
-                    metric=self.metric,
-                    method=self.method,
-                    seed=self.seed,
-                )
+            t0 = perf_counter() if metrics is not None else 0.0
+            assign = cluster_rows(
+                matrix.rows,
+                k=self.k,
+                metric=self.metric,
+                method=self.method,
+                seed=self.seed,
+            )
+            if metrics is not None:
                 metrics.cluster_seconds.inc(perf_counter() - t0)
         if assign.silhouette < self.threshold:
             return
@@ -288,7 +284,7 @@ class PhaseAnomalyDetector:
     def detect(
         self, events: Sequence[Event], config: AnalysisConfig
     ) -> Iterable[Finding]:
-        matrix = _as_matrix(events)
+        matrix = derive_features(events)
         n = len(matrix)
         if n < self.min_rows:
             return

@@ -37,6 +37,29 @@ class SynthError(ValueError):
     """An invalid campaign spec or synthesis request."""
 
 
+#: JSON type checks for spec values read by ``from_dict`` (a JSON
+#: ``true`` is not a number here, although ``bool`` subclasses ``int``)
+_JSON_KINDS = {
+    "a string": lambda v: isinstance(v, str),
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a number": lambda v: (
+        isinstance(v, (int, float)) and not isinstance(v, bool)
+    ),
+}
+
+
+def _read(where: str, key: str, value, kind: str, many: bool = False):
+    """``value`` checked against ``kind``; lists come back as tuples."""
+    ok = _JSON_KINDS[kind]
+    if many:
+        if isinstance(value, (list, tuple)) and all(map(ok, value)):
+            return tuple(value)
+        kind = f"a list of {kind.split(' ', 1)[1]}s"
+    elif ok(value):
+        return value
+    raise SynthError(f"{where} {key!r} must be {kind}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class NoiseConfig:
     """Fault-plan noise applied to synthesized scenarios.
@@ -70,10 +93,22 @@ class NoiseConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NoiseConfig":
-        return cls(
-            plan=FaultPlan.from_dict(d.get("plan", {})),
-            magnitudes=tuple(d.get("magnitudes", (0.0,))),
+        if not isinstance(d, dict):
+            raise SynthError(
+                f"campaign spec 'noise' must be an object, got {d!r}"
+            )
+        plan = d.get("plan", {})
+        if not isinstance(plan, dict):
+            raise SynthError(f"noise 'plan' must be an object, got {plan!r}")
+        try:
+            plan = FaultPlan.from_dict(plan)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SynthError(f"bad noise 'plan': {exc!r}") from None
+        magnitudes = _read(
+            "noise", "magnitudes", d.get("magnitudes", (0.0,)),
+            "a number", many=True,
         )
+        return cls(plan=plan, magnitudes=magnitudes)
 
 
 @dataclass(frozen=True)
@@ -188,40 +223,44 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CampaignSpec":
-        try:
-            name = d["name"]
-        except KeyError:
-            raise SynthError("campaign spec needs a 'name'") from None
-        defaults = cls.__dataclass_fields__
-        unknown = set(d) - set(defaults)
+        if not isinstance(d, dict):
+            raise SynthError(f"campaign spec must be an object, got {d!r}")
+        if "name" not in d:
+            raise SynthError("campaign spec needs a 'name'")
+        unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise SynthError(
                 f"unknown campaign spec key(s): {sorted(unknown)}"
             )
-        kwargs = {"name": name}
-        for key in (
-            "generator",
-            "strategy",
-            "scenarios",
-            "threads",
-            "max_properties",
-            "max_failures",
-            "max_retries",
-            "seed",
-            "adversarial_rounds",
-            "adversarial_top",
-        ):
-            if key in d:
-                kwargs[key] = d[key]
-        for key in (
-            "properties",
-            "skeletons",
-            "sizes",
-            "bands",
-            "placements",
-        ):
-            if key in d:
-                kwargs[key] = tuple(d[key])
-        if "noise" in d:
-            kwargs["noise"] = NoiseConfig.from_dict(d["noise"])
+        kwargs = {}
+        for key, value in d.items():
+            if key == "noise":
+                kwargs[key] = NoiseConfig.from_dict(value)
+            else:
+                kind, many = _SPEC_KEYS[key]
+                kwargs[key] = _read(
+                    "campaign spec", key, value, kind, many
+                )
         return cls(**kwargs)
+
+
+#: the JSON type of every campaign-spec key but ``noise``, and whether
+#: it holds a list of that type
+_SPEC_KEYS = {
+    "name": ("a string", False),
+    "generator": ("a string", False),
+    "strategy": ("a string", False),
+    "scenarios": ("an integer", False),
+    "properties": ("a string", True),
+    "skeletons": ("a string", True),
+    "sizes": ("an integer", True),
+    "threads": ("an integer", False),
+    "bands": ("a string", True),
+    "placements": ("a string", True),
+    "max_properties": ("an integer", False),
+    "max_failures": ("an integer", False),
+    "max_retries": ("an integer", False),
+    "seed": ("an integer", False),
+    "adversarial_rounds": ("an integer", False),
+    "adversarial_top": ("an integer", False),
+}

@@ -1,10 +1,12 @@
 """The trace recorder.
 
 One :class:`TraceRecorder` instance collects the events of one program
-run, across all locations.  The runtimes (:mod:`repro.simmpi`,
-:mod:`repro.simomp`, :mod:`repro.work`) call into it around every
-instrumented construct; the analyzer and the timeline renderer consume
-the result.
+run, across all locations.  Every region, whether a runtime
+(:mod:`repro.simmpi`, :mod:`repro.simomp`, :mod:`repro.work`) or user
+code opens it, is recorded through :class:`repro.trace.api.region`; the
+MPI and OpenMP runtimes add the Send, Recv, CollExit, Fork and Join
+events directly.  The analyzer and the timeline renderer consume the
+result.
 
 Recording is append-only and cheap: the current call path of every
 location is maintained *incrementally* as an interned tuple (the path
@@ -14,10 +16,12 @@ and repeated visits to the same call site share one tuple object.
 Region-name strings are interned the same way.
 
 The recorder also models *intrusion*: a configurable virtual-time cost
-per recorded event.  With the default of zero the measurement is
-perfectly non-intrusive (the ideal the paper asks tools to approach);
-benchmarks set it non-zero to study how instrumentation overhead
-distorts program behaviour (paper chapter 2).
+per region event, charged by :class:`~repro.trace.api.region` on every
+enter and every exit (the other event kinds are free).  With the
+default of zero the measurement is perfectly non-intrusive (the ideal
+the paper asks tools to approach); benchmarks set it non-zero to study
+how instrumentation overhead distorts program behaviour (paper
+chapter 2).
 
 The collected events are persisted with :func:`repro.trace.io.write_trace`.
 """
@@ -73,7 +77,6 @@ class TraceRecorder:
         #: registry comm_id -> tuple of global ranks, filled by the MPI
         #: runtime; the analyzer needs it to localize collective waits.
         self.comm_registry: dict[int, tuple[int, ...]] = {}
-        self.enabled = True
 
     # ------------------------------------------------------------------
     # call-path bookkeeping
@@ -115,8 +118,6 @@ class TraceRecorder:
 
     def enter(self, time: float, loc: Location, region: str) -> None:
         """Record entry into ``region`` at ``loc``."""
-        if not self.enabled:
-            return
         region = _intern(region)
         stack = self._stacks.get(loc)
         if stack is None:
@@ -132,8 +133,6 @@ class TraceRecorder:
 
     def exit(self, time: float, loc: Location, region: str) -> None:
         """Record exit from ``region``; must match the innermost enter."""
-        if not self.enabled:
-            return
         stack = self._stacks.get(loc)
         if not stack or stack[-1] != region:
             raise TraceError(
@@ -161,8 +160,6 @@ class TraceRecorder:
         msg_id: int,
         internal: bool = False,
     ) -> None:
-        if not self.enabled:
-            return
         self.events.append(
             Send(
                 time,
@@ -189,8 +186,6 @@ class TraceRecorder:
         post_time: float,
         internal: bool = False,
     ) -> None:
-        if not self.enabled:
-            return
         self.events.append(
             Recv(
                 time,
@@ -218,8 +213,6 @@ class TraceRecorder:
         bytes_sent: int = 0,
         bytes_recv: int = 0,
     ) -> None:
-        if not self.enabled:
-            return
         self.events.append(
             CollExit(
                 time,
@@ -238,16 +231,12 @@ class TraceRecorder:
     def fork(
         self, time: float, loc: Location, team_size: int, team_id: int
     ) -> None:
-        if not self.enabled:
-            return
         self.events.append(
             Fork(time, loc, team_size=team_size, team_id=team_id,
                  path=self.path_of(loc))
         )
 
     def join(self, time: float, loc: Location, team_id: int) -> None:
-        if not self.enabled:
-            return
         self.events.append(
             Join(time, loc, team_id=team_id, path=self.path_of(loc))
         )

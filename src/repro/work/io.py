@@ -10,7 +10,7 @@ analyzer's I/O-bound detector something real to measure.
 from __future__ import annotations
 
 from ..simkernel import current_process
-from ..trace.api import current_instrumentation
+from ..trace.api import region
 
 IO_READ_REGION = "io_read"
 IO_WRITE_REGION = "io_write"
@@ -27,16 +27,7 @@ def do_io(secs: float, kind: str = "read") -> None:
         raise ValueError(f"io amount must be non-negative, got {secs}")
     if kind not in ("read", "write"):
         raise ValueError(f"io kind must be 'read' or 'write': {kind!r}")
-    region = IO_READ_REGION if kind == "read" else IO_WRITE_REGION
     proc = current_process()
-    rec, loc = current_instrumentation()
-    if rec is not None:
-        rec.enter(proc.sim.now, loc, region)
-        if rec.intrusion_per_event:
-            proc.sim.hold(rec.intrusion_per_event)
-    if secs > 0:
-        proc.sim.hold(secs)
-    if rec is not None:
-        rec.exit(proc.sim.now, loc, region)
-        if rec.intrusion_per_event:
-            proc.sim.hold(rec.intrusion_per_event)
+    with region(IO_READ_REGION if kind == "read" else IO_WRITE_REGION):
+        if secs > 0:
+            proc.sim.hold(secs)

@@ -14,7 +14,7 @@ severities.  (The calibrated real-time variant is in
 from __future__ import annotations
 
 from ..simkernel import current_process
-from ..trace.api import current_instrumentation
+from ..trace.api import region
 
 #: region name used for work phases in traces
 WORK_REGION = "work"
@@ -30,14 +30,6 @@ def do_work(secs: float) -> None:
     if secs < 0:
         raise ValueError(f"work amount must be non-negative, got {secs}")
     proc = current_process()
-    rec, loc = current_instrumentation()
-    if rec is not None:
-        rec.enter(proc.sim.now, loc, WORK_REGION)
-        if rec.intrusion_per_event:
-            proc.sim.hold(rec.intrusion_per_event)
-    if secs > 0:
-        proc.sim.hold(secs)
-    if rec is not None:
-        rec.exit(proc.sim.now, loc, WORK_REGION)
-        if rec.intrusion_per_event:
-            proc.sim.hold(rec.intrusion_per_event)
+    with region(WORK_REGION):
+        if secs > 0:
+            proc.sim.hold(secs)

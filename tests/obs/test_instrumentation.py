@@ -143,6 +143,28 @@ def test_cold_archived_analyze_times_its_index_build(tmp_path):
             assert spans == 0 and seconds == 0.0
 
 
+def test_cold_dataset_export_times_its_feature_step(tmp_path):
+    from repro.archive import Archive
+    from repro.stats import dataset_rows
+    from repro.synth import CampaignSpec, run_campaign
+
+    archive = Archive(tmp_path / "archive")
+    run_campaign(
+        CampaignSpec(name="obs-ds", scenarios=2, sizes=(4,), seed=3),
+        archive=archive,
+    )
+    set_metrics_enabled(True)
+    set_spans_enabled(True)
+    reset_metrics()
+    reset_spans()
+    dataset_rows(archive)  # cold: every run's features are derived
+    spans = [s for s in span_log() if s.name == "stats:features"]
+    labeled = [r for r in archive.history() if r.manifest is not None]
+    assert labeled and len(spans) == len(labeled)
+    feature_seconds = _sample(to_json(), "ats_stats_feature_seconds_total")
+    assert feature_seconds["samples"][0]["value"] > 0.0
+
+
 def test_disabled_run_records_nothing():
     set_metrics_enabled(False)
     set_spans_enabled(False)

@@ -63,3 +63,14 @@ def test_synth_rejects_missing_or_invalid_spec(service):
         service.submit("synth", {"spec": {"name": "late_sender"}})
     with pytest.raises(JobError):
         service.submit("synth", {"spec": {"name": "x", "bogus": 1}})
+    for over, key in [
+        ({"scenarios": "x"}, "scenarios"),
+        ({"sizes": "x"}, "sizes"),
+        ({"threads": None}, "threads"),
+        ({"bands": 3}, "bands"),
+        ({"name": 5}, "name"),
+        ({"noise": "x"}, "noise"),
+        ({"noise": {"plan": "x"}}, "plan"),
+    ]:
+        with pytest.raises(JobError, match=key):
+            service.submit("synth", {"spec": _spec_dict(**over)})

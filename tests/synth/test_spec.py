@@ -56,6 +56,19 @@ def test_from_dict_requires_name_and_rejects_unknown_keys():
         CampaignSpec.from_dict({})
     with pytest.raises(SynthError, match="unknown"):
         CampaignSpec.from_dict({"name": "c1", "surprise": 1})
+    # a mistyped field is a SynthError naming its key, never a raw
+    # TypeError or AttributeError from deeper validation
+    for spec, key in [
+        ({"name": "x", "scenarios": "x"}, "scenarios"),
+        ({"name": "x", "sizes": "x"}, "sizes"),
+        ({"name": "x", "threads": None}, "threads"),
+        ({"name": "x", "bands": 3}, "bands"),
+        ({"name": 5}, "name"),
+        ({"name": "x", "noise": "x"}, "noise"),
+        ({"name": "x", "noise": {"plan": "x"}}, "plan"),
+    ]:
+        with pytest.raises(SynthError, match=key):
+            CampaignSpec.from_dict(spec)
 
 
 def test_scenario_names_carry_campaign_prefix():

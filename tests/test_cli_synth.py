@@ -94,6 +94,24 @@ def test_synth_bad_spec_file_rejected(tmp_path, capsys):
     garbled.write_text("{not json")
     assert main(["synth", "generate", "--spec", str(garbled)]) == 2
 
+    # a mistyped field exits 2 with one error line naming the key
+    mistyped = tmp_path / "mistyped.json"
+    for spec, key in [
+        ({"name": "x", "scenarios": "x"}, "scenarios"),
+        ({"name": "x", "sizes": "x"}, "sizes"),
+        ({"name": "x", "threads": None}, "threads"),
+        ({"name": "x", "bands": 3}, "bands"),
+        ({"name": 5}, "name"),
+        ({"name": "x", "noise": "x"}, "noise"),
+        ({"name": "x", "noise": {"plan": "x"}}, "plan"),
+    ]:
+        mistyped.write_text(json.dumps(spec))
+        capsys.readouterr()
+        assert main(["synth", "campaign", "--spec", str(mistyped)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ats: error:") and err.count("\n") == 1
+        assert key in err
+
 
 def test_synth_score_rejects_non_campaign_artifact(tmp_path, capsys):
     other = tmp_path / "other.json"

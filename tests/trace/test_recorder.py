@@ -64,14 +64,6 @@ def test_finish_passes_when_balanced():
     rec.finish()
 
 
-def test_disabled_recorder_records_nothing():
-    rec = TraceRecorder()
-    rec.enabled = False
-    rec.enter(0.0, L0, "a")
-    rec.send(0.0, L0, peer=1, tag=0, comm_id=0, nbytes=4, msg_id=1)
-    assert len(rec) == 0
-
-
 def test_send_recv_events_capture_envelope():
     rec = TraceRecorder()
     rec.enter(0.0, L0, "main")
