@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from ..analysis import AnalysisConfig, DEFAULT_DETECTORS
+from ..analysis import AnalysisConfig
 from ..analysis.analyzer import ANALYZER_VERSION
 from ..analysis.compare import ComparisonReport, compare_analyses
 from ..analysis.model import AnalysisResult
@@ -25,7 +25,7 @@ from ..obs.instruments import archive_metrics
 from ..trace.events import Event
 from ..trace.io import events_to_jsonl, gzip_bytes
 from .cache import CacheStats, analyze_archived
-from .fingerprint import detector_set_fingerprint
+from .fingerprint import default_set_fingerprint
 from .store import ArchiveError, ArchiveStore, canonical_json, sha256_hex
 
 #: run_id length: 12 hex chars of the identity digest (collision odds
@@ -186,7 +186,7 @@ class Archive:
             events=len(events),
             final_time=final_time,
             eager_threshold=eager_threshold,
-            detector_set=detector_set_fingerprint(DEFAULT_DETECTORS),
+            detector_set=default_set_fingerprint(),
             analyzer_version=ANALYZER_VERSION,
             manifest=manifest,
         )

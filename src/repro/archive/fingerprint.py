@@ -32,7 +32,7 @@ import inspect
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from ..analysis import ANALYZER_VERSION, AnalysisConfig
+from ..analysis import ANALYZER_VERSION, DEFAULT_DETECTORS, AnalysisConfig
 from .store import canonical_json, sha256_hex
 
 
@@ -141,3 +141,15 @@ def detector_set_fingerprint(
             [detector_fingerprint(d, config) for d in detectors]
         )
     )
+
+
+@lru_cache(maxsize=None)
+def default_set_fingerprint() -> str:
+    """:func:`detector_set_fingerprint` of ``DEFAULT_DETECTORS``, once.
+
+    Every archived run records it and every service analyze or diff
+    keys on it.  No caller reconfigures the default instances, so the
+    value is constant for the life of the process; any other battery
+    computes its own.
+    """
+    return detector_set_fingerprint(DEFAULT_DETECTORS)

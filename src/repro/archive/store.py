@@ -223,7 +223,10 @@ class ArchiveStore:
 
         A partial final line (killed writer) is healed away exactly
         like a resilience checkpoint; deeper corruption raises
-        :class:`ArchiveError`.
+        :class:`ArchiveError`.  The journal keeps what it parsed, so
+        each call parses only the records appended since the last one
+        (:meth:`CheckpointJournal.load`); the payloads are shared
+        between calls and are read-only.
         """
         try:
             with self._manifest_lock:

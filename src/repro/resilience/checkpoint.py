@@ -74,6 +74,7 @@ class CheckpointJournal:
         #: computed under: read from the header by :meth:`load`,
         #: written into a fresh header (see :meth:`bind_settings`).
         self.settings: Optional[str] = None
+        self._forget(None)
 
     # ------------------------------------------------------------------
     # reading (resume)
@@ -84,50 +85,94 @@ class CheckpointJournal:
 
         Missing file means a fresh sweep: an empty mapping.  A partial
         final line (interrupted write) is silently dropped.
+
+        The parsed records are kept with the byte offset of the last
+        line consumed, so the next call parses only what was appended
+        since, by any writer: this journal, another journal on the same
+        file, or another process.  A file that was replaced, or that no
+        longer ends a line at that offset (it shrank or was rewritten),
+        is read again in full.  Each call returns a new dict; its
+        payloads are shared between calls and must not be mutated.
         """
-        if not self.path.exists():
-            return {}
-        text = self.path.read_text()
-        lines = text.splitlines()
-        if lines and not text.endswith("\n"):
-            # the final write never reached its newline terminator, so
-            # it was never acknowledged -- even when the JSON happens
-            # to be complete.  Dropping it here keeps read-only
-            # recovery consistent with ``_heal_partial_tail``, which
-            # cuts the same line before appending.
-            lines = lines[:-1]
-        if not lines:
-            return {}
         try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(
-                f"{self.path}:1: corrupt checkpoint header"
-            ) from exc
-        if header.get("format") != self.fmt:
-            raise CheckpointError(
-                f"{self.path}: not an {self.fmt} journal"
-            )
-        self.settings = header.get("settings")
-        done: Dict[str, dict] = {}
-        last = len(lines) - 1
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                if lineno - 1 == last:
-                    break  # interrupted final write; the cell re-runs
-                raise CheckpointError(
-                    f"{self.path}:{lineno}: corrupt checkpoint record"
-                ) from None
-            if "key" not in record or "payload" not in record:
-                raise CheckpointError(
-                    f"{self.path}:{lineno}: malformed checkpoint record"
-                )
-            done[record["key"]] = record["payload"]
-        return done
+            fh = open(self.path, "rb")
+        except FileNotFoundError:
+            self._forget(None)
+            return {}
+        with fh:
+            stat = os.fstat(fh.fileno())
+            identity = (stat.st_dev, stat.st_ino)
+            if identity != self._identity:
+                self._forget(identity)
+            start = self._consumed
+            fh.seek(max(start - 1, 0))
+            data = fh.read()
+            if start:
+                if data[:1] == b"\n":
+                    data = data[1:]
+                else:  # shrunk or rewritten: the offset ends no line
+                    self._forget(identity)
+                    fh.seek(0)
+                    data = fh.read()
+        self._consume(data)
+        if self._header is not None:
+            self.settings = self._header.get("settings")
+        return dict(self._done)
+
+    def _forget(self, identity) -> None:
+        """Drop the parsed state; the next read starts at byte 0."""
+        #: ``(st_dev, st_ino)`` of the file the state below was read from
+        self._identity = identity
+        self._header: Optional[dict] = None
+        self._done: Dict[str, dict] = {}
+        #: bytes and lines parsed so far
+        self._consumed = 0
+        self._lines = 0
+
+    def _consume(self, data: bytes) -> None:
+        """Parse the complete lines of ``data``, the bytes past the offset.
+
+        A final line without its newline was never acknowledged: it is
+        not consumed, even when its JSON is complete (the cut
+        ``_heal_partial_tail`` makes before appending).  A corrupt
+        final *complete* line is an interrupted write: it is not
+        consumed either, and raises once more lines follow it.
+        """
+        end = data.rfind(b"\n") + 1
+        pos = 0
+        while pos < end:
+            stop = data.index(b"\n", pos) + 1
+            line = data[pos:stop]
+            lineno = self._lines + 1
+            if lineno == 1:
+                try:
+                    header = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise CheckpointError(
+                        f"{self.path}:1: corrupt checkpoint header"
+                    ) from exc
+                if header.get("format") != self.fmt:
+                    raise CheckpointError(
+                        f"{self.path}: not an {self.fmt} journal"
+                    )
+                self._header = header
+            elif line.strip():
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError:
+                    if stop == end:
+                        return  # interrupted final write; the cell re-runs
+                    raise CheckpointError(
+                        f"{self.path}:{lineno}: corrupt checkpoint record"
+                    ) from None
+                if "key" not in record or "payload" not in record:
+                    raise CheckpointError(
+                        f"{self.path}:{lineno}: malformed checkpoint record"
+                    )
+                self._done[record["key"]] = record["payload"]
+            self._lines = lineno
+            self._consumed += stop - pos
+            pos = stop
 
     # ------------------------------------------------------------------
     # writing

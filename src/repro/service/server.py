@@ -49,9 +49,8 @@ from collections import OrderedDict, deque
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
-from ..analysis import DEFAULT_DETECTORS
 from ..archive import Archive, ArchiveError, ArchivedRun, CacheStats
-from ..archive.fingerprint import detector_set_fingerprint
+from ..archive.fingerprint import default_set_fingerprint
 from ..core import get_property, list_properties
 from ..obs.instruments import service_metrics
 from ..obs.spans import span_log, spans_enabled
@@ -392,7 +391,7 @@ class AnalysisService:
             return (
                 kind,
                 *[run.trace_digest for run in runs],
-                detector_set_fingerprint(DEFAULT_DETECTORS),
+                default_set_fingerprint(),
                 threshold,
             )
         if kind == "run":

@@ -18,7 +18,7 @@ from ..simkernel import current_process
 from ..trace.api import current_instrumentation, region
 from . import collectives as _coll
 from .buffers import MpiBuf, MpiVBuf
-from .datatypes import MPI_LONG, Datatype, Op
+from .datatypes import Datatype, Op
 from .errors import InvalidRankError, InvalidTagError, MpiError
 from .request import Request
 from .status import ANY_SOURCE, ANY_TAG, PROC_NULL, Status

@@ -10,7 +10,7 @@ in figure 3.2), runs the program and packages the trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional
 
 from ..simkernel import Simulator, current_process
 from ..trace.api import bind_instrumentation, region

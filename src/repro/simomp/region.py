@@ -14,7 +14,7 @@ from typing import Any, Callable, Iterator, Optional
 from ..simkernel import current_process
 from ..trace.api import bind_instrumentation, current_instrumentation, region
 from ..trace.events import Location
-from .team import OmpError, Team, current_team, require_team
+from .team import OmpError, Team, require_team
 
 #: trace region names for the implicit barriers of each construct;
 #: the analyzer distinguishes the OpenMP imbalance properties by them.

@@ -9,8 +9,8 @@ model where the master *is* thread 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Optional
 
 from ..obs.instruments import omp_metrics
 from ..simkernel import SimBarrier, SimMutex, SimProcess, current_process

@@ -9,9 +9,18 @@ envisions between the ATS programs and the analysis tools under test.
 the archive (:mod:`repro.archive`) both serialize through it, and
 both compress through :func:`gzip_bytes`.  A ``.gz`` destination
 (conventionally ``.jsonl.gz``) is written as deterministic gzip --
-``mtime=0``, no embedded filename -- so compressed traces of the same
-run are byte-identical across invocations, which is what lets the
-content-addressed archive key blobs by digest.
+``mtime=0``, no embedded filename, level 6 -- so compressed traces of
+the same run are byte-identical across invocations, which is what
+lets the content-addressed archive key blobs by digest.
+
+Each event line is byte-identical to ``json.dumps(event.to_dict())``.
+The encoder writes it through a per-kind line template whenever the
+event's fields have exactly the types the recorder writes, and
+through ``json.dumps`` otherwise; :data:`EVENT_KEYS`, read off the
+event dataclasses, is each kind's key order in both directions.  The
+parser builds a line whose keys are in that order positionally,
+sharing one :class:`Location` per location string and one tuple per
+call path, and hands every other line to :func:`event_from_dict`.
 
 Reading is hardened against the real world: a truncated or corrupt
 file raises :class:`TraceFormatError` carrying the path and the exact
@@ -39,10 +48,22 @@ from __future__ import annotations
 import gzip
 import json
 import zlib
+from dataclasses import fields
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
-from .events import Event, event_from_dict
+from .events import (
+    CollExit,
+    Enter,
+    Event,
+    Exit,
+    Fork,
+    Join,
+    Location,
+    Recv,
+    Send,
+    event_from_dict,
+)
 
 FORMAT_VERSION = 1
 
@@ -93,9 +114,14 @@ def gzip_bytes(data: bytes) -> bytes:
     Plain :func:`gzip.compress` embeds the current time in the header,
     which would give the same trace a different digest on every call;
     this helper is the codec both ``.jsonl.gz`` traces and archive
-    blobs go through.
+    blobs go through.  It compresses at level 6, the default of zlib
+    and gzip(1): on the fig. 3.3 chain's 8 MB trace at 64 ranks, level
+    9 took over 4x as long (one core of a 2-CPU VM) for an 11% smaller
+    stream.  Digests are taken over the uncompressed bytes, so the
+    level moves no digest, and streams written at any level read back
+    alike.
     """
-    return gzip.compress(data, mtime=0)
+    return gzip.compress(data, compresslevel=6, mtime=0)
 
 
 def gunzip_bytes(data: bytes, salvage: bool = False) -> bytes:
@@ -119,6 +145,221 @@ def _header_line(metadata: Optional[dict]) -> str:
     return json.dumps(header) + "\n"
 
 
+# ----------------------------------------------------------------------
+# event lines
+# ----------------------------------------------------------------------
+
+#: the event classes a trace line holds, one per kind
+_EVENT_CLASSES = (Enter, Exit, Send, Recv, CollExit, Fork, Join)
+
+#: every event kind's keys in line order: ``kind``, then the class's
+#: dataclass fields -- the order ``Event.to_dict`` writes them (a test
+#: holds the two together).  The template encoder writes lines in this
+#: order, and the positional parser passes values to the class in it.
+EVENT_KEYS: dict[str, tuple[str, ...]] = {
+    cls.kind: ("kind",) + tuple(f.name for f in fields(cls))
+    for cls in _EVENT_CLASSES
+}
+
+#: keys whose template slot takes a ready JSON fragment (``%s``): times,
+#: the location, names, the call path and the bool.  Every other slot
+#: is an int, formatted with ``%r``.
+_FRAGMENT_KEYS = frozenset((
+    "time", "post_time", "enter_time", "loc", "region", "op", "path",
+    "internal",
+))
+
+
+def _line_template(kind: str) -> str:
+    """``'{"kind": "send", "time": %s, "loc": %s, "peer": %r, ...}\\n'``."""
+    slots = [f'"kind": {json.dumps(kind)}'] + [
+        f'"{key}": %{"s" if key in _FRAGMENT_KEYS else "r"}'
+        for key in EVENT_KEYS[kind][1:]
+    ]
+    return "{" + ", ".join(slots) + "}\n"
+
+
+_TEMPLATES = {kind: _line_template(kind) for kind in EVENT_KEYS}
+
+
+def _line_encoder() -> Callable[[Event], str]:
+    """A fresh ``event -> line`` function, with memos for its lifetime.
+
+    Every line equals ``json.dumps(event.to_dict()) + "\\n"``.  An
+    event whose fields have exactly the types the recorder writes -- a
+    :class:`Location` of ints, a tuple path of ``str``, ``str`` names,
+    ``int`` counters, a ``bool`` ``internal``, ``int`` or finite
+    ``float`` times -- fills its kind's template, where ``repr`` writes
+    what ``json.dumps`` would.  Anything else (a bool or float in an
+    int field, nan or inf, a plain-tuple loc, a list path, an
+    :class:`Event` subclass) takes the ``json.dumps`` line.
+
+    Location and path fragments are memoized by object identity: the
+    recorder and the parser share one object per distinct value, and
+    ``keep`` holds every memoized object so no id is reused while the
+    memo lives.  Names are memoized by value, and so are float times
+    other than zero, whose two signs compare equal but write apart.
+    """
+    dumps = json.dumps
+    inf = float("inf")
+    keep: list = []
+    locs: dict[int, str] = {}
+    paths: dict[int, str] = {}
+    names: dict[str, str] = {}
+    times: dict[float, str] = {}
+    enter_t, exit_t, send_t, recv_t, coll_t, fork_t, join_t = (
+        _TEMPLATES[cls.kind] for cls in _EVENT_CLASSES
+    )
+    templated = set(_EVENT_CLASSES)
+
+    def loc_fragment(loc) -> Optional[str]:
+        if (
+            type(loc) is not Location
+            or type(loc[0]) is not int
+            or type(loc[1]) is not int
+        ):
+            return None
+        keep.append(loc)
+        fragment = locs[id(loc)] = dumps(str(loc))
+        return fragment
+
+    def path_fragment(path) -> Optional[str]:
+        if type(path) is not tuple or any(type(p) is not str for p in path):
+            return None
+        keep.append(path)
+        fragment = paths[id(path)] = dumps(list(path))
+        return fragment
+
+    def name_fragment(name) -> Optional[str]:
+        if type(name) is not str:
+            return None
+        fragment = names.get(name)
+        if fragment is None:
+            fragment = names[name] = dumps(name)
+        return fragment
+
+    def time_fragment(t) -> Optional[str]:
+        if type(t) is int:
+            return repr(t)
+        if type(t) is not float or not -inf < t < inf:
+            return None
+        fragment = repr(t)
+        if t:
+            times[t] = fragment
+        return fragment
+
+    def line(e: Event) -> str:
+        cls = type(e)
+        if cls in templated:
+            # memo hits inline; the *_fragment helpers handle misses
+            t, loc, path = e.time, e.loc, e.path
+            t = type(t) is float and times.get(t) or time_fragment(t)
+            loc = locs.get(id(loc)) or loc_fragment(loc)
+            path = paths.get(id(path)) or path_fragment(path)
+            if t and loc and path:
+                if cls is Send or cls is Recv:
+                    peer, tag, comm_id = e.peer, e.tag, e.comm_id
+                    nbytes, msg_id, internal = e.nbytes, e.msg_id, e.internal
+                    if type(internal) is bool and (
+                        int is type(peer) is type(tag) is type(comm_id)
+                        is type(nbytes) is type(msg_id)
+                    ):
+                        internal = "true" if internal else "false"
+                        if cls is Send:
+                            return send_t % (
+                                t, loc, peer, tag, comm_id, nbytes, msg_id,
+                                path, internal,
+                            )
+                        post = e.post_time
+                        post = (
+                            type(post) is float and times.get(post)
+                            or time_fragment(post)
+                        )
+                        if post:
+                            return recv_t % (
+                                t, loc, peer, tag, comm_id, nbytes, msg_id,
+                                post, path, internal,
+                            )
+                elif cls is Enter or cls is Exit:
+                    region = name_fragment(e.region)
+                    if region:
+                        return (enter_t if cls is Enter else exit_t) % (
+                            t, loc, region, path
+                        )
+                elif cls is CollExit:
+                    op = name_fragment(e.op)
+                    enter = time_fragment(e.enter_time)
+                    if op and enter and (
+                        int is type(e.comm_id) is type(e.instance)
+                        is type(e.root) is type(e.bytes_sent)
+                        is type(e.bytes_recv)
+                    ):
+                        return coll_t % (
+                            t, loc, op, e.comm_id, e.instance, e.root, enter,
+                            e.bytes_sent, e.bytes_recv, path,
+                        )
+                elif cls is Fork:
+                    if int is type(e.team_size) is type(e.team_id):
+                        return fork_t % (t, loc, e.team_size, e.team_id, path)
+                elif type(e.team_id) is int:  # Join
+                    return join_t % (t, loc, e.team_id, path)
+        return dumps(e.to_dict()) + "\n"
+
+    return line
+
+
+#: kind -> (event class, its keys, index of ``path``): what the
+#: positional parser needs to build one kind
+_POSITIONAL = {
+    cls.kind: (cls, EVENT_KEYS[cls.kind], EVENT_KEYS[cls.kind].index("path"))
+    for cls in _EVENT_CLASSES
+}
+
+#: ``raw_decode`` skips ``json.loads``'s wrapper (leading-whitespace and
+#: BOM checks) that a stripped line does not need
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _event_builder() -> Callable[[object], Event]:
+    """A fresh ``decoded line -> event`` function, with memos.
+
+    A line whose keys are exactly its kind's :data:`EVENT_KEYS`, in
+    order, is built positionally: each distinct location string is
+    parsed once, and each distinct all-``str`` path becomes one shared
+    tuple (a JSON array equal to such a tuple holds only strings
+    itself).  Every other line, and any the positional build cannot
+    take, goes through :func:`event_from_dict`, which builds the event
+    or raises exactly as it always did.
+    """
+    locs: dict[str, Location] = {}
+    paths: dict[tuple, tuple] = {}
+
+    def build(record) -> Event:
+        try:
+            cls, keys, path_at = _POSITIONAL[record["kind"]]
+            if tuple(record) == keys:
+                values = [*record.values()]
+                text = values[2]
+                loc = locs.get(text)
+                if loc is None and type(text) is str:
+                    loc = locs[text] = Location.parse(text)
+                path = tuple(values[path_at])
+                shared = paths.get(path)
+                if shared is None:
+                    shared = path
+                    if all(type(p) is str for p in path):
+                        paths[path] = path
+                if loc is not None:
+                    values[2] = loc
+                    values[path_at] = shared
+                    return cls(*values[1:])
+        except (KeyError, TypeError, ValueError):
+            pass
+        return event_from_dict(record)
+
+    return build
+
+
 def events_to_jsonl(
     events: Iterable[Event],
     metadata: Optional[dict] = None,
@@ -128,19 +369,22 @@ def events_to_jsonl(
 
     The archive stores this string's UTF-8 bytes as the trace blob, so
     a blob dumped to a file *is* a valid trace file and the blob digest
-    doubles as the trace's identity.  ``faults`` (a
+    doubles as the trace's identity.  Each event's line is
+    ``json.dumps(event.to_dict())``, written through a per-kind
+    template (see :func:`_line_encoder`).  ``faults`` (a
     :class:`~repro.faults.FaultInjector`) applies the write-time record
     faults: each event draws :meth:`record_copies` once, in event
     order, and its line is written 0, 1 or 2 times.
     """
+    line = _line_encoder()
     parts = [_header_line(metadata)]
     if faults is None:
-        parts.extend(json.dumps(e.to_dict()) + "\n" for e in events)
+        parts.extend(map(line, events))
     else:
         for e in events:
             copies = faults.record_copies()
             if copies:
-                parts.append((json.dumps(e.to_dict()) + "\n") * copies)
+                parts.append(line(e) * copies)
     return "".join(parts)
 
 
@@ -294,17 +538,23 @@ def _parse_trace_text(
     # signature of a mid-record truncation, which salvage must report
     # as such even when skip_bad_lines would also tolerate it --
     # "skipped one line" and "the file was cut" are different facts.
-    last_content = -1
-    for i, raw in enumerate(lines):
-        if raw.strip():
-            last_content = i
+    last_content = len(lines) - 1
+    while last_content >= 0 and not lines[last_content].strip():
+        last_content -= 1
+    build = _event_builder()
     for offset, line in enumerate(lines):
         lineno = offset + 2
         line = line.strip()
         if not line:
             continue
         try:
-            events.append(event_from_dict(json.loads(line)))
+            try:
+                record, end = _raw_decode(line)
+            except json.JSONDecodeError:
+                end = -1
+            if end != len(line):
+                record = json.loads(line)  # raises json.loads's own error
+            events.append(build(record))
         except (
             json.JSONDecodeError,
             ValueError,

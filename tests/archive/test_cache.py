@@ -233,3 +233,15 @@ def test_obs_counters_wired(tmp_path, spec):
     finally:
         set_metrics_enabled(False)
         reset_metrics()
+
+
+def test_default_battery_fingerprint_is_memoized_exactly():
+    from repro.archive.fingerprint import (
+        default_set_fingerprint,
+        detector_set_fingerprint,
+    )
+
+    assert default_set_fingerprint() == detector_set_fingerprint(
+        DEFAULT_DETECTORS
+    )
+    assert default_set_fingerprint() is default_set_fingerprint()
