@@ -7,11 +7,11 @@ gzip-compressed blob keyed by its digest, the run identity in an
 append-only manifest journal that heals partial tails exactly like a
 resilience checkpoint.  Analysis over archived traces
 (:func:`analyze_archived`) is memoized per ``(trace digest, detector
-fingerprint)`` cell, so re-running the analyzer across the full
-history is near-pure cache lookups -- and a change to one detector
-recomputes only that detector's column.  On top sit history listing
-and cross-run regression diffing with a CI gate (``ats history``,
-``ats diff --gate``).
+fingerprint)`` cell, all cells of one trace in one file, so re-running
+the analyzer across the full history is near-pure cache lookups -- and
+a change to one detector recomputes only that detector's column.  On
+top sit history listing and cross-run regression diffing with a CI
+gate (``ats history``, ``ats diff --gate``).
 """
 
 from .api import (
@@ -27,8 +27,8 @@ from .cache import CacheStats, analyze_archived, cell_key, meta_key
 from .codec import (
     finding_from_dict,
     finding_to_dict,
-    findings_from_bytes,
-    findings_to_bytes,
+    findings_from_list,
+    findings_to_list,
     result_to_dict,
     result_to_json_bytes,
 )
@@ -61,8 +61,8 @@ __all__ = [
     "detector_set_fingerprint",
     "finding_from_dict",
     "finding_to_dict",
-    "findings_from_bytes",
-    "findings_to_bytes",
+    "findings_from_list",
+    "findings_to_list",
     "format_history",
     "history_to_json_str",
     "meta_key",

@@ -1,9 +1,12 @@
 """The incremental analysis cache: ``analyze_archived``.
 
 Analysis of an archived run is memoized at **detector-cell**
-granularity: one cached blob per ``(trace digest, detector
+granularity: one cached cell per ``(trace digest, detector
 fingerprint)`` plus one per-trace *meta* cell (total time + location
-list).  On a warm cache the trace blob is never even read -- the
+list).  All cells of one trace live in one file of the store
+(:meth:`~repro.archive.store.ArchiveStore.get_named`), so an analyze
+reads it once and a cold analyze replaces it once, with every cell it
+computed.  On a warm cache the trace blob is never even read -- the
 result assembles from stored cells alone, which is what makes a full
 re-analysis sweep near-pure lookups.  After a detector change, only
 that detector's cells miss; every other cell (and the meta cell) still
@@ -14,7 +17,9 @@ A missing cell is computed by :func:`~repro.analysis.analyze_events`
 with that one detector over an index of the stored trace, so cached
 and fresh findings come from the same detector loop, and archive and
 service analyses feed the same ``ats_analysis_*`` metrics and
-``analysis:*`` spans as every other analysis.
+``analysis:*`` spans as every other analysis.  A cell file that is
+torn, garbled or lost reads as all misses, so the worst a crash can
+cost is that recompute.
 
 Hits and misses are counted both into the caller-visible
 :class:`CacheStats` accumulator and -- when :mod:`repro.obs` is
@@ -35,10 +40,10 @@ from ..obs.instruments import archive_metrics
 from ..trace.events import Event
 from ..trace.io import events_from_jsonl
 from .codec import (
-    findings_from_bytes,
-    findings_to_bytes,
-    meta_from_bytes,
-    meta_to_bytes,
+    findings_from_list,
+    findings_to_list,
+    meta_from_dict,
+    meta_to_dict,
 )
 from .fingerprint import detector_fingerprint
 from .store import ArchiveStore
@@ -124,37 +129,40 @@ def analyze_archived(
             else AnalysisConfig()
         )
     trace_digest = record["trace_digest"]
+    cached = store.get_named(trace_digest)
 
     cells: list[Optional[list[Finding]]] = []
     keys: list[str] = []
     for detector in detectors:
         key = cell_key(trace_digest, detector_fingerprint(detector, config))
         keys.append(key)
-        blob = store.get_named(key)
-        count_lookup(stats, "detector", blob is not None)
-        cells.append(None if blob is None else findings_from_bytes(blob))
+        payload = cached.get(key)
+        count_lookup(stats, "detector", payload is not None)
+        cells.append(None if payload is None else findings_from_list(payload))
 
     mkey = meta_key(trace_digest)
-    meta_blob = store.get_named(mkey)
-    count_lookup(stats, "meta", meta_blob is not None)
-    if meta_blob is not None:
-        total_time, locations = meta_from_bytes(meta_blob)
+    meta = cached.get(mkey)
+    count_lookup(stats, "meta", meta is not None)
+    if meta is not None:
+        total_time, locations = meta_from_dict(meta)
     else:
         total_time, locations = record["final_time"], None
 
     if any(cell is None for cell in cells) or locations is None:
         index = build_index(TraceIndex, archived_events(store, trace_digest))
+        computed = {}
         for i, detector in enumerate(detectors):
             if cells[i] is None:
                 found = analyze_events(
                     index, config=config, detectors=[detector]
                 ).findings
-                store.put_named(keys[i], findings_to_bytes(found))
+                computed[keys[i]] = findings_to_list(found)
                 cells[i] = found
         if locations is None:
             locations = list(index.locations)
             total_time = record["final_time"]
-            store.put_named(mkey, meta_to_bytes(total_time, locations))
+            computed[mkey] = meta_to_dict(total_time, locations)
+        store.put_named(trace_digest, computed)
 
     findings: list[Finding] = []
     for cell in cells:

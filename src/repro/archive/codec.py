@@ -1,11 +1,12 @@
-"""Serialization of analysis artifacts for archive blobs.
+"""Serialization of analysis artifacts for the archive.
 
-Findings and results round-trip through plain JSON.  Floats survive
-exactly (``json`` emits the shortest repr that parses back to the same
-double), call paths and locations reuse the trace model's own string
-forms, and :func:`result_to_json_bytes` defines the *canonical* bytes
-of a result -- the form the determinism tests and the cache
-byte-identity guarantee compare.
+Findings and results round-trip through plain JSON: cache cells hold
+the JSON values below, and a trace's cell file is one JSON object.
+Floats survive exactly (``json`` emits the shortest repr that parses
+back to the same double), call paths and locations reuse the trace
+model's own string forms, and :func:`result_to_json_bytes` defines
+the *canonical* bytes of a result -- the form the determinism tests
+and the cache byte-identity guarantee compare.
 """
 
 from __future__ import annotations
@@ -35,25 +36,24 @@ def finding_from_dict(d: dict) -> Finding:
     )
 
 
-def findings_to_bytes(findings: Iterable[Finding]) -> bytes:
-    payload = [finding_to_dict(f) for f in findings]
-    return json.dumps(payload, sort_keys=True).encode("utf-8")
+def findings_to_list(findings: Iterable[Finding]) -> List[dict]:
+    """A findings cell's JSON value."""
+    return [finding_to_dict(f) for f in findings]
 
 
-def findings_from_bytes(data: bytes) -> List[Finding]:
-    return [finding_from_dict(d) for d in json.loads(data)]
+def findings_from_list(payload: List[dict]) -> List[Finding]:
+    return [finding_from_dict(d) for d in payload]
 
 
-def meta_to_bytes(total_time: float, locations: Iterable[Location]) -> bytes:
-    payload = {
+def meta_to_dict(total_time: float, locations: Iterable[Location]) -> dict:
+    """A meta cell's JSON value: the trace-level facts of a result."""
+    return {
         "total_time": total_time,
         "locations": [str(loc) for loc in locations],
     }
-    return json.dumps(payload, sort_keys=True).encode("utf-8")
 
 
-def meta_from_bytes(data: bytes) -> tuple[float, List[Location]]:
-    payload = json.loads(data)
+def meta_from_dict(payload: dict) -> tuple[float, List[Location]]:
     return (
         payload["total_time"],
         [Location.parse(text) for text in payload["locations"]],

@@ -1,4 +1,4 @@
-"""Content-addressed blob store + append-only run manifest.
+"""Content-addressed blob store, per-trace cache cells, run manifest.
 
 The store is a directory::
 
@@ -6,23 +6,30 @@ The store is a directory::
       manifest.jsonl      append-only run journal (healed like a
                           resilience checkpoint: a partial final line
                           from a killed process is cut, never fatal)
-      objects/ab/cdef...  gzip-compressed blobs
+      objects/ab/cdef...  gzip-compressed trace blobs
+      cells/ab/cdef....json
+                          one trace's cache cells, one JSON object
 
-Blobs come in two flavours sharing one object directory:
+Trace blobs (:meth:`put_blob`) are named by the SHA-256 of the
+*uncompressed* payload, so identical traces deduplicate for free and
+the digest doubles as the trace's identity in cache keys.  They go
+through the deterministic gzip codec traces use
+(:func:`repro.trace.io.gzip_bytes`, ``mtime=0``), so a blob copied to a
+``.jsonl.gz`` file *is* a readable trace.
 
-* **content-addressed** (:meth:`put_blob`): named by the SHA-256 of
-  the *uncompressed* payload, so identical traces deduplicate for free
-  and the digest doubles as the trace's identity in cache keys;
-* **key-addressed** (:meth:`put_named`): named by the SHA-256 of a
-  caller-supplied key string -- how the incremental analysis cache
-  finds a ``(trace digest, detector fingerprint)`` cell without any
-  index file.
+Cache cells (:meth:`put_named`, :meth:`get_named`) are what the
+incremental analysis cache and the dataset export derive from a trace:
+one file per trace digest holding ``{cell key: JSON payload}``.  A
+trace's cells are read with one ``json.loads`` and replaced in one
+write.  Archives written before this layout kept one gzip object per
+cell key under ``objects/``; those are no longer read (the first
+analyze recomputes the cells) and stay on disk.
 
-All blobs go through the deterministic gzip codec traces use
-(:func:`repro.trace.io.gzip_bytes`, ``mtime=0``), so a trace blob
-copied to a ``.jsonl.gz`` file *is* a readable trace.  Writes are
-atomic (temp file + rename) so concurrent batch analysis never
-exposes a half-written cell.
+Every file is written atomically (temp file in the same directory,
+then ``os.replace``), so no reader sees a half-written blob or cell
+file.  In durable mode trace blobs and manifest records are fsync'd;
+cell files never are: they are derived data, and one lost to a crash
+reads as a miss and is recomputed from the digest-checked blob.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ import sys
 import tempfile
 import threading
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Any, Dict, Optional, Union
 
 from ..obs.instruments import archive_metrics
 from ..resilience.checkpoint import CheckpointError, CheckpointJournal
@@ -64,15 +71,45 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _atomic_write(path: Path, data: bytes, fsync: bool) -> None:
+    """Replace ``path`` with ``data``: a temp file beside it, then a rename.
+
+    The chaos injector's ``blob_write`` site is consulted first, so an
+    injected fault leaves neither a temp file nor a partial ``path``.
+    """
+    injector = _chaos_injector()
+    if injector is not None:
+        injector.blob_write(path, data)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+            if fsync:
+                fh.flush()
+                os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 class ArchiveStore:
-    """One archive directory: blobs + the run manifest journal."""
+    """One archive directory: blobs, cache cells, the run manifest."""
 
     def __init__(self, root: Union[str, Path], fsync: bool = False):
         self.root = Path(root)
         self.objects = self.root / "objects"
+        self.cells = self.root / "cells"
         #: durable mode: blob temp files are fsync'd before the rename
         #: and manifest records before acknowledgment -- what the
-        #: crash-safe analysis service runs with.
+        #: crash-safe analysis service runs with.  Cell files are not.
         self.fsync = fsync
         self._manifest = CheckpointJournal(
             self.root / "manifest.jsonl", fmt=MANIFEST_FORMAT,
@@ -86,6 +123,9 @@ class ArchiveStore:
         #: shared buffered fd, and the analysis service records runs
         #: from multiple worker threads at once.
         self._manifest_lock = threading.Lock()
+        #: serializes each cell file's read, merge and replace, so two
+        #: threads adding cells to one trace keep both sets.
+        self._cells_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # blobs
@@ -99,27 +139,8 @@ class ArchiveStore:
         path = self._blob_path(digest)
         if path.exists():
             return False
-        path.parent.mkdir(parents=True, exist_ok=True)
         compressed = gzip_bytes(data)
-        injector = _chaos_injector()
-        if injector is not None:
-            injector.blob_write(path, compressed)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=".blob"
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(compressed)
-                if self.fsync:
-                    fh.flush()
-                    os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        _atomic_write(path, compressed, self.fsync)
         metrics = archive_metrics()
         if metrics is not None:
             metrics.blob_bytes.inc(len(compressed))
@@ -152,25 +173,40 @@ class ArchiveStore:
         return data
 
     # ------------------------------------------------------------------
-    # key-addressed cells (the analysis cache)
+    # cache cells: one file per trace (the analysis cache)
     # ------------------------------------------------------------------
 
-    def put_named(self, key: str, data: bytes) -> str:
-        """Store under the digest of ``key``; returns that digest."""
-        digest = sha256_hex(key)
-        self._write_blob(digest, data)
-        return digest
+    def _cells_path(self, trace_digest: str) -> Path:
+        return self.cells / trace_digest[:2] / f"{trace_digest[2:]}.json"
 
-    def get_named(self, key: str) -> Optional[bytes]:
-        """Load a key-addressed cell, or None when absent."""
-        path = self._blob_path(sha256_hex(key))
+    def get_named(self, trace_digest: str) -> Dict[str, Any]:
+        """Every cached cell of one trace: ``{cell key: payload}``.
+
+        A missing, empty, torn or unparsable file, or one that is not
+        a JSON object, reads as no cells: each lookup misses and the
+        next :meth:`put_named` rewrites the file.
+        """
         try:
-            return gunzip_bytes(path.read_bytes())
-        except FileNotFoundError:
-            return None
+            cells = json.loads(self._cells_path(trace_digest).read_bytes())
+        except (FileNotFoundError, ValueError):
+            return {}
+        return cells if isinstance(cells, dict) else {}
 
-    def has_named(self, key: str) -> bool:
-        return self._blob_path(sha256_hex(key)).exists()
+    def put_named(self, trace_digest: str, cells: Dict[str, Any]) -> None:
+        """Merge ``cells`` into one trace's cell file, replacing it.
+
+        The file is read again under the store's cell lock, so cells
+        another thread (or an earlier process) added since the
+        caller's own read survive.  It is never fsync'd: a crash, or
+        two processes racing, can lose a cell, which is then
+        recomputed, but never leaves a wrong one.
+        """
+        path = self._cells_path(trace_digest)
+        with self._cells_lock:
+            merged = self.get_named(trace_digest)
+            merged.update(cells)
+            data = canonical_json(merged).encode("utf-8")
+            _atomic_write(path, data, fsync=False)
 
     # ------------------------------------------------------------------
     # manifest

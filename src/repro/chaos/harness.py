@@ -19,8 +19,11 @@ One :func:`run_chaos` call is a full crash/recover cycle against a
    * **no acknowledged job lost** -- every acknowledged id answers on
      ``GET /jobs/<id>`` after the restart and reaches a terminal
      state;
-   * **no archive corruption** -- the manifest journal loads and every
-     referenced trace blob decompresses to its recorded digest;
+   * **no archive corruption** -- the manifest journal loads, every
+     referenced trace blob decompresses to its recorded digest, and
+     every run's cached analysis is byte-identical to a fresh analysis
+     of that blob (a torn or lost cell file may cost a miss, never a
+     wrong answer);
    * **recovery determinism** -- the recovered campaign result is
      byte-identical (canonical JSON, live ``progress`` block excluded)
      to an uninterrupted in-process baseline run, whenever the plan
@@ -492,15 +495,18 @@ def _await_terminal(
 
 
 def _check_archive(archive: Path, result: ChaosRunResult) -> None:
-    """Manifest loads; every referenced trace blob digest-checks."""
-    from ..archive import ArchiveError
-    from ..archive.store import ArchiveStore
+    """Manifest loads; every referenced trace blob digest-checks; every
+    run's cached analysis matches a fresh one over that blob."""
+    from ..analysis import AnalysisConfig, analyze_events
+    from ..archive import Archive, ArchiveError, result_to_json_bytes
+    from ..archive.cache import archived_events
 
     try:
-        store = ArchiveStore(archive)
+        opened = Archive(archive)
     except Exception as exc:  # noqa: BLE001
         result.violations.append(f"archive corrupt: {exc}")
         return
+    store = opened.store
     try:
         manifest = store.load_manifest()
         checked = 0
@@ -509,14 +515,34 @@ def _check_archive(archive: Path, result: ChaosRunResult) -> None:
             if not digest:
                 continue
             try:
-                store.get_blob(digest)
+                events = archived_events(store, digest)
                 checked += 1
             except ArchiveError as exc:
                 result.violations.append(
                     f"archive corrupt: run {run_id}: {exc}"
                 )
+                continue
+            # a torn or lost cell file may cost a miss, never a wrong
+            # answer: the cache must agree with the blob it came from
+            eager = payload.get("eager_threshold")
+            fresh = analyze_events(
+                events,
+                total_time=payload["final_time"],
+                config=(
+                    AnalysisConfig(eager_threshold=eager)
+                    if eager is not None
+                    else AnalysisConfig()
+                ),
+            )
+            cached = opened.analyze(run_id)
+            if result_to_json_bytes(cached) != result_to_json_bytes(fresh):
+                result.violations.append(
+                    f"archive cache wrong: run {run_id}: cached "
+                    "analysis differs from a fresh one"
+                )
         result.notes.append(
-            f"archive scrub: {checked} blob(s) verified"
+            f"archive scrub: {checked} blob(s) and their cached "
+            "analyses verified"
         )
     except Exception as exc:  # noqa: BLE001
         result.violations.append(f"archive corrupt: {exc}")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from ..distributions import get_distribution
@@ -42,13 +41,6 @@ class DistParam:
 
 
 ParamValue = Union[int, float, DistParam]
-
-
-@lru_cache(maxsize=None)
-def _accepts_num_threads(func: Callable[..., None]) -> bool:
-    # Signature introspection is slow (~0.1 ms) and Step.execute asks
-    # once per rank per step, so memoize per function object.
-    return "num_threads" in inspect.signature(func).parameters
 
 
 @dataclass(frozen=True)
@@ -113,7 +105,15 @@ class PropertySpec:
         return out
 
     def accepts_num_threads(self) -> bool:
-        return _accepts_num_threads(self.func)
+        # Signature introspection is slow (~0.1 ms), so the flag is
+        # computed once per spec and kept on the instance, where it
+        # dies with the spec: a synthesized cell's closure must not
+        # outlive the cell.
+        cached = self.__dict__.get("_accepts_threads")
+        if cached is None:
+            cached = "num_threads" in inspect.signature(self.func).parameters
+            object.__setattr__(self, "_accepts_threads", cached)
+        return cached
 
     # ------------------------------------------------------------------
     # running

@@ -10,11 +10,11 @@ dataset_creator / data_processor shape: JSON-lines for schema-rich
 consumers, CSV with one column per feature for spreadsheet/sklearn
 pipelines, so external ML tooling can train on ATS-generated labels.
 
-Feature extraction is cached in the archive's key-addressed object
-store under ``features|<trace digest>|<FEATURE_VERSION>`` -- a warm
-export never re-reads a trace blob, mirroring the incremental analysis
-cache.  Output is deterministic: runs are joined in manifest order,
-rows per run in rank order, and all serialization is key-sorted.
+Feature extraction is cached in the archive as a cell of the trace's
+cell file, under ``features|<trace digest>|<FEATURE_VERSION>`` -- a
+warm export never re-reads a trace blob, mirroring the incremental
+analysis cache.  Output is deterministic: runs are joined in manifest
+order, rows per run in rank order, and all serialization is key-sorted.
 """
 
 from __future__ import annotations
@@ -63,23 +63,20 @@ def features_for_run(
     """The behavior matrix of one archived run, cached in its store.
 
     On a miss the trace blob is loaded, vectors derived and the matrix
-    stored as a key-addressed cell; a warm export assembles from cells
+    stored as a cell of the trace; a warm export assembles from cells
     alone.  ``FEATURE_VERSION`` is part of the key, so a feature-schema
     change invalidates exactly the feature cells.
     """
     store = archive.store
     key = feature_cell_key(run.trace_digest)
-    blob = store.get_named(key)
-    count_lookup(stats, "features", blob is not None)
-    if blob is not None:
-        return FeatureMatrix.from_dict(json.loads(blob))
+    payload = store.get_named(run.trace_digest).get(key)
+    count_lookup(stats, "features", payload is not None)
+    if payload is not None:
+        return FeatureMatrix.from_dict(payload)
     matrix = derive_features(
         archived_events(store, run.trace_digest), total_time=run.final_time
     )
-    store.put_named(
-        key,
-        json.dumps(matrix.to_dict(), sort_keys=True).encode("utf-8"),
-    )
+    store.put_named(run.trace_digest, {key: matrix.to_dict()})
     return matrix
 
 

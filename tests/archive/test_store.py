@@ -56,11 +56,19 @@ def test_missing_blob_raises(tmp_path):
 
 def test_named_cells(tmp_path):
     store = ArchiveStore(tmp_path)
-    assert store.get_named("findings|x|y") is None
-    assert not store.has_named("findings|x|y")
-    store.put_named("findings|x|y", b"[1, 2, 3]")
-    assert store.get_named("findings|x|y") == b"[1, 2, 3]"
-    assert store.has_named("findings|x|y")
+    digest = "ab" * 32
+    assert store.get_named(digest) == {}
+    store.put_named(digest, {"findings|x|y": [1, 2, 3]})
+    store.put_named(digest, {"meta|x|v": {"total_time": 1.5}})
+    store.put_named(digest, {"findings|x|y": []})  # last write wins
+    cells = {"findings|x|y": [], "meta|x|v": {"total_time": 1.5}}
+    assert store.get_named(digest) == cells
+    # one plain JSON object per trace, shared with every other store
+    path = tmp_path / "cells" / "ab" / ("ab" * 31 + ".json")
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
+    assert json.loads(path.read_bytes()) == cells
+    assert ArchiveStore(tmp_path).get_named(digest) == cells
+    assert store.get_named("cd" * 32) == {}
 
 
 def test_manifest_round_trip_and_last_wins(tmp_path):

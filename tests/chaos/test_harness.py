@@ -7,6 +7,7 @@ import pytest
 from repro.chaos.harness import (
     ChaosReport,
     ChaosRunResult,
+    _check_archive,
     _tear_journal_tail,
     _workload_params,
     run_chaos_battery,
@@ -97,6 +98,46 @@ class TestTornTail:
         state.mkdir()
         note = _tear_journal_tail(state, TornJournalTail())
         assert "skipped" in note
+
+
+class TestArchiveCheck:
+    """The scrub re-analyzes every run: a torn cell file is a miss, a
+    wrong cell is a violation."""
+
+    def _archive(self, tmp_path):
+        from repro.archive import Archive
+        from repro.core import get_property
+
+        archive = Archive(tmp_path / "archive")
+        run = archive.archive_run(
+            get_property("late_sender"), size=4, seed=3
+        )
+        archive.analyze(run)
+        archive.store.close()
+        return archive.store._cells_path(run.trace_digest)
+
+    def _check(self, tmp_path):
+        result = ChaosRunResult(index=0, seed=0, plan="-")
+        _check_archive(tmp_path / "archive", result)
+        return result
+
+    def test_torn_cell_file_is_no_violation(self, tmp_path):
+        cells = self._archive(tmp_path)
+        cells.write_bytes(cells.read_bytes()[:50])
+        result = self._check(tmp_path)
+        assert result.violations == []
+        assert "1 blob(s)" in result.notes[0]
+
+    def test_wrong_cached_findings_are_a_violation(self, tmp_path):
+        cells = self._archive(tmp_path)
+        payload = json.loads(cells.read_bytes())
+        for key in payload:
+            if key.startswith("findings|"):
+                payload[key] = []
+        cells.write_text(json.dumps(payload))
+        result = self._check(tmp_path)
+        assert len(result.violations) == 1
+        assert "archive cache wrong" in result.violations[0]
 
 
 class TestBattery:

@@ -1,6 +1,8 @@
 """Campaign execution: parity across modes, archiving, scoring."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -11,6 +13,7 @@ from repro.synth import (
     CampaignError,
     CampaignSpec,
     NoiseConfig,
+    generate_scenarios,
     run_campaign,
     score_campaign_json,
     score_result,
@@ -72,6 +75,25 @@ def test_archive_records_carry_ground_truth_manifests(tmp_path):
         run = archive.resolve(cell.run_id)
         assert run.manifest == cell.manifest.to_dict()
         assert run.program == cell.scenario.name
+
+
+def test_a_cell_closure_dies_with_its_cell():
+    """Nothing process-wide keeps a synthesized spec's closure (and
+    with it the cell's steps and params) alive after the cell ran."""
+    funcs = []
+    for scenario in generate_scenarios(_spec(scenarios=48)):
+        pspec = scenario.build_spec()
+        pspec.run(
+            size=scenario.size,
+            num_threads=scenario.threads,
+            seed=scenario.seed,
+        )
+        funcs.append(weakref.ref(pspec.func))
+    del pspec
+    gc.collect()
+    assert len(funcs) == 48
+    # a few stay referenced from pooled worker threads' last frames
+    assert sum(ref() is not None for ref in funcs) <= 8
 
 
 def test_adversarial_strategy_extends_disagreement_cells():
