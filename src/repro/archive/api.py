@@ -244,7 +244,6 @@ class Archive:
         seed: int = 0,
         params: Optional[dict] = None,
         severity_scale: Optional[float] = None,
-        faults=None,
         time_budget: Optional[float] = None,
     ) -> ArchivedRun:
         """Execute a property function and archive its trace.
@@ -265,16 +264,10 @@ class Archive:
             num_threads=num_threads,
             seed=seed,
             params=base,
-            faults=faults,
             time_budget=time_budget,
         )
-        plan_dict = None
-        if faults is not None:
-            plan = getattr(faults, "plan", faults)
-            to_dict = getattr(plan, "to_dict", None)
-            plan_dict = to_dict() if to_dict is not None else None
         return self.record_run(
-            spec, run, size, num_threads, seed, params=base, plan=plan_dict
+            spec, run, size, num_threads, seed, params=base
         )
 
     # ------------------------------------------------------------------

@@ -88,6 +88,24 @@ def _resolve_property(name: str):
         ) from None
 
 
+def _check_grid(spec, size: int, threads: int) -> None:
+    """:meth:`PropertySpec.check_grid` with a CLI-grade error."""
+    try:
+        spec.check_grid(size, threads)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+
+
+def _parse_csv(text: str, kind, option: str):
+    try:
+        return tuple(kind(part) for part in text.split(","))
+    except ValueError:
+        raise CliError(
+            f"bad {option} value {text!r}: expected comma-separated "
+            f"{kind.__name__} values"
+        ) from None
+
+
 def _parse_dist(text: str) -> tuple[str, Optional[tuple[float, ...]]]:
     """Parse a ``--dist SHAPE[:V1,V2,...]`` override."""
     shape, sep, raw = text.partition(":")
@@ -166,9 +184,6 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_supervision_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--supervise", action="store_true",
-                        help="run each sweep cell under the resilience "
-                        "supervisor (implied by the flags below)")
     parser.add_argument("--timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="wall-clock limit per cell; timed-out cells "
@@ -211,7 +226,7 @@ def _workers_of(args) -> int:
 
 
 def _make_supervisor(args):
-    """Build the Supervisor the flags ask for, or None for direct mode."""
+    """Build the Supervisor every sweep cell runs under, from the flags."""
     from .resilience import CheckpointError, Supervisor
 
     checkpoint = args.checkpoint
@@ -227,15 +242,6 @@ def _make_supervisor(args):
             )
     if args.retries < 0:
         raise CliError("--retries must be >= 0")
-    wanted = (
-        args.supervise
-        or checkpoint is not None
-        or args.timeout is not None
-        or args.retries > 0
-        or args.failures_out is not None
-    )
-    if not wanted:
-        return None
     try:
         return Supervisor(
             timeout=args.timeout,
@@ -261,8 +267,6 @@ def _write_artifact(dest, text: str, label: str) -> None:
 
 def _emit_failures(args, supervisor) -> None:
     """Print/write the quarantine report of a supervised sweep."""
-    if supervisor is None:
-        return
     report = supervisor.failure_report()
     if report.failures:
         print(report.format_table())
@@ -348,6 +352,7 @@ def cmd_list(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     _enable_obs(args)
     spec = _resolve_property(args.property)
+    _check_grid(spec, args.size, args.threads)
     params = _dist_override(spec, args.dist) if args.dist else None
     result = spec.run(
         size=args.size,
@@ -362,19 +367,24 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_chain(args: argparse.Namespace) -> int:
     _enable_obs(args)
-    result = run_all_mpi_properties(size=args.size, seed=args.seed)
+    try:
+        result = run_all_mpi_properties(size=args.size, seed=args.seed)
+    except ValueError as exc:  # a bad --size, raised before simulating
+        raise CliError(str(exc)) from None
     _report(result, args)
     return 0
 
 
 def cmd_split(args: argparse.Namespace) -> int:
     _enable_obs(args)
-    result = run_split_program(
-        lower=args.lower.split(","),
-        upper=args.upper.split(","),
-        size=args.size,
-        seed=args.seed,
-    )
+    lower = [_resolve_property(n).name for n in args.lower.split(",")]
+    upper = [_resolve_property(n).name for n in args.upper.split(",")]
+    try:
+        result = run_split_program(
+            lower=lower, upper=upper, size=args.size, seed=args.seed
+        )
+    except ValueError as exc:  # a bad --size, raised before simulating
+        raise CliError(str(exc)) from None
     _report(result, args)
     return 0
 
@@ -495,6 +505,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     set_metrics_enabled(True)
     set_spans_enabled(True)
     spec = _resolve_property(args.property)
+    _check_grid(spec, args.size, args.threads)
     result = spec.run(
         size=args.size, num_threads=args.threads, seed=args.seed
     )
@@ -539,18 +550,11 @@ def cmd_robustness(args: argparse.Namespace) -> int:
     specs = None
     if args.program:
         specs = [_resolve_property(name) for name in args.program]
-    if args.magnitudes:
-        try:
-            magnitudes = tuple(
-                float(m) for m in args.magnitudes.split(",")
-            )
-        except ValueError:
-            raise CliError(
-                f"bad --magnitudes value {args.magnitudes!r}: expected "
-                "comma-separated numbers"
-            ) from None
-    else:
-        magnitudes = DEFAULT_MAGNITUDES
+    magnitudes = (
+        _parse_csv(args.magnitudes, float, "--magnitudes")
+        if args.magnitudes
+        else DEFAULT_MAGNITUDES
+    )
     if args.seeds < 1:
         raise CliError("--seeds must be >= 1")
     supervisor = _make_supervisor(args)
@@ -578,16 +582,6 @@ def cmd_robustness(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # scenario synthesis commands
 # ----------------------------------------------------------------------
-
-def _parse_csv(text: str, kind, option: str):
-    try:
-        return tuple(kind(part) for part in text.split(","))
-    except ValueError:
-        raise CliError(
-            f"bad {option} value {text!r}: expected comma-separated "
-            f"{kind.__name__} values"
-        ) from None
-
 
 def _load_campaign_spec(args):
     """Build the CampaignSpec from --spec FILE or the sampling flags."""
@@ -787,8 +781,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from .validation import run_sweep
 
     spec = _resolve_property(args.property)
-    factors = [float(f) for f in args.factors.split(",")]
-    sizes = [int(s) for s in args.sizes.split(",")]
+    factors = _parse_csv(args.factors, float, "--factors")
+    sizes = _parse_csv(args.sizes, int, "--sizes")
+    for size in sizes:
+        _check_grid(spec, size, args.threads)
     result = run_sweep(
         spec.name,
         severity_factors=factors,
@@ -830,6 +826,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         if not args.property:
             raise CliError("need a property program (or --trace FILE)")
         spec = _resolve_property(args.property)
+        _check_grid(spec, args.size, args.threads)
         run = spec.run(
             size=args.size, num_threads=args.threads, seed=args.seed
         )
@@ -979,6 +976,7 @@ def cmd_archive_run(args: argparse.Namespace) -> int:
     from .archive import ArchiveError
 
     spec = _resolve_property(args.property)
+    _check_grid(spec, args.size, args.threads)
     params = _dist_override(spec, args.dist) if args.dist else None
     if args.severity_scale is not None and args.severity_scale <= 0:
         raise CliError("--severity-scale must be > 0")

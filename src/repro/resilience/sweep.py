@@ -1,19 +1,20 @@
 """The sweep engine: one loop over the cells of every sweep.
 
 The validation matrix, the robustness grid and a synthesis campaign
-are each a cell generator plus a grading rule; :func:`run_cells` is
-the loop they share.  Every cell goes through a :class:`Supervisor`
--- checkpoint replay, wall-clock timeout, failure classification,
-retry, quarantine, journaling -- so a failing cell always comes back
-as a failed outcome for the sweep to grade, never as an exception
-that aborts the sweep.
+are each a cell generator, a record builder and a renderer;
+:func:`run_cells` is the loop they share.  Every cell goes through a
+:class:`Supervisor` -- checkpoint replay, wall-clock timeout, failure
+classification, retry, quarantine, journaling -- and comes back as
+its record: the one the cell built, or, for a failing cell, the one
+its ``failed`` builder makes from the error.  A failing cell never
+aborts the sweep.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
-from .supervisor import CellOutcome, Supervisor
+from .supervisor import Supervisor
 
 __all__ = ["run_cells"]
 
@@ -23,19 +24,22 @@ def _encode(value: Any) -> dict:
 
 
 def run_cells(
-    cells: Iterable[Tuple[str, Callable[[], Any]]],
+    cells: Iterable[Tuple[str, Callable[[], Any], Callable[..., Any]]],
     decode: Callable[[dict], Any],
     settings: dict,
     supervisor: Optional[Supervisor] = None,
     archive=None,
     workers: int = 1,
-) -> List[CellOutcome]:
-    """Resolve ``(key, fn)`` cells in cell order; one outcome per cell.
+) -> List[Any]:
+    """Resolve ``(key, fn, failed)`` cells in cell order; one record each.
 
-    ``fn`` returns a value whose ``to_dict()`` is the JSON payload
-    journaled for resume; ``decode`` turns a payload back into a
-    value.  A missing ``supervisor`` becomes a default
-    :class:`Supervisor` (no timeout, no retries, no journal).
+    ``fn`` returns the cell's record, whose ``to_dict()`` is the JSON
+    payload journaled for resume; ``decode`` turns a payload back into
+    a record.  A cell that fails (or was journaled as failed) comes
+    back as ``failed(error=...)``, the failure's error text.  A
+    missing ``supervisor`` becomes a default :class:`Supervisor` (no
+    timeout, no retries, no journal); the supervisor's
+    :meth:`~Supervisor.failure_report` lists the quarantined cells.
 
     ``settings`` holds what changes a cell's result but not its key
     (program size, threshold, fault plan, ...).  A checkpoint journal
@@ -44,9 +48,9 @@ def run_cells(
 
     ``workers > 1`` runs cell attempts in forked children
     (:func:`repro.resilience.forked.run_cells_forked`).  Each child
-    returns its value encoded and, with an ``archive``, queues its
+    returns its record encoded and, with an ``archive``, queues its
     manifest records instead of appending them; the parent replays
-    them in cell order before journaling the cell.  Results, journal
+    them in cell order before journaling the cell.  Records, journal
     and manifest are byte-identical to a serial sweep's.
     """
     if workers < 1:
@@ -55,34 +59,40 @@ def run_cells(
         supervisor = Supervisor()
     if supervisor.journal is not None:
         supervisor.journal.bind_settings(settings)
+    cells = list(cells)
     if workers == 1:
-        return [
+        outcomes = [
             supervisor.run_cell(key, fn, encode=_encode, decode=decode)
-            for key, fn in cells
+            for key, fn, _failed in cells
         ]
-    from .forked import run_cells_forked
+    else:
+        from .forked import run_cells_forked
 
-    def child(fn: Callable[[], Any]) -> Callable[[], dict]:
-        def run() -> dict:
-            if archive is not None:
-                archive.store.begin_deferred()
-            return fn().to_dict()
+        def child(fn: Callable[[], Any]) -> Callable[[], dict]:
+            def run() -> dict:
+                if archive is not None:
+                    archive.store.begin_deferred()
+                return fn().to_dict()
 
-        return run
+            return run
 
-    extras_fn = on_extras = None
-    if archive is not None:
-        extras_fn = archive.store.drain_deferred
+        extras_fn = on_extras = None
+        if archive is not None:
+            extras_fn = archive.store.drain_deferred
 
-        def on_extras(key: str, records: list) -> None:
-            for run_id, payload in records:
-                archive.store.record_run(run_id, payload)
+            def on_extras(key: str, records: list) -> None:
+                for run_id, payload in records:
+                    archive.store.record_run(run_id, payload)
 
-    return run_cells_forked(
-        [(key, child(fn)) for key, fn in cells],
-        workers=workers,
-        supervisor=supervisor,
-        decode=decode,
-        extras_fn=extras_fn,
-        on_extras=on_extras,
-    )
+        outcomes = run_cells_forked(
+            [(key, child(fn)) for key, fn, _failed in cells],
+            workers=workers,
+            supervisor=supervisor,
+            decode=decode,
+            extras_fn=extras_fn,
+            on_extras=on_extras,
+        )
+    return [
+        outcome.value if outcome.ok else failed(error=outcome.failure.error)
+        for (_key, _fn, failed), outcome in zip(cells, outcomes)
+    ]

@@ -397,11 +397,10 @@ class AnalysisService:
         if kind == "run":
             spec = params["_spec"] = _property(params.get("property"))
             kwargs = params["_kwargs"] = _grid(params)
-            if spec.paradigm != "omp" and kwargs["size"] < spec.min_size:
-                raise JobError(
-                    f"'size' must be >= {spec.min_size} for {spec.name}"
-                    f", got {kwargs['size']}"
-                )
+            try:
+                spec.check_grid(kwargs["size"], kwargs["num_threads"])
+            except ValueError as exc:
+                raise JobError(str(exc)) from None
             kwargs["severity_scale"] = _number(
                 params, "severity_scale", None
             )

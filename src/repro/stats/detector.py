@@ -27,6 +27,7 @@ from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 from ..analysis.detectors.base import AnalysisConfig
 from ..analysis.index import TraceIndex
 from ..analysis.model import Finding
+from ..core.registry import GLOBALLY_ALLOWED
 from ..obs.instruments import stats_metrics
 from ..obs.spans import span
 from ..trace.events import Event
@@ -117,7 +118,9 @@ def grade_cell(
 ) -> Tuple[Tuple[str, ...], Tuple[str, ...], Tuple[str, ...], Tuple[str, ...]]:
     """Grade one sweep cell's detections against its ground truth.
 
-    ``expected`` and ``allowed`` name analyzer properties.  With the
+    The one grading rule of every sweep.  ``expected`` and ``allowed``
+    name analyzer properties; :data:`GLOBALLY_ALLOWED` (framework
+    overhead) joins ``allowed`` here, so no caller adds it.  With the
     similarity family among ``families``, the statistical ids are
     graded through the class taxonomy: those the ground truth obliges
     (:func:`statistical_expectations`) become expected; on a
@@ -127,12 +130,12 @@ def grade_cell(
     clean cell tolerates none, so false alarms stay visible.
 
     Returns ``(expected, allowed, missing, spurious)``: the graded
-    expected and tolerated ids, sorted; the expected ids not detected;
-    and the detected ids neither expected nor tolerated, in detection
-    order.
+    expected and tolerated ids, sorted; the expected ids not detected,
+    sorted; and the detected ids neither expected nor tolerated, in
+    detection order.
     """
     expected = set(expected)
-    allowed = set(allowed)
+    allowed = set(allowed).union(GLOBALLY_ALLOWED)
     if "similarity" in families:
         obliged = set(statistical_expectations(expected))
         if expected:

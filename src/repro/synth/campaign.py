@@ -1,14 +1,15 @@
-"""Campaign execution on the shared sweep engine.
+"""The one cell pipeline, and campaign execution on it.
 
-Each scenario cell runs :func:`run_noisy_cell`, the pipeline the
-robustness grid shares: a seed-deterministic simulated run under the
-scaled noise plan, an optional trace-fault round trip through the
-salvaging reader, archiving and analysis -- then a verdict against the
-scenario's ground-truth manifest.  :func:`repro.resilience.run_cells`
-resolves the cells under a supervisor (wall-clock timeout / retry /
-quarantine / checkpoint resume), serially or over forked workers;
-results come back in scenario order, so the campaign JSON is
-byte-identical across all modes.
+:func:`run_noisy_cell` turns every sweep cell -- matrix, robustness,
+``run_sweep`` and campaign alike -- into an analyzed run: a
+seed-deterministic simulated run under the scaled noise plan, an
+optional trace-fault round trip through the salvaging reader,
+archiving and analysis.  A campaign adds a cell generator (the
+scenarios), a record builder (:func:`_build_cell`, graded against the
+scenario's ground-truth manifest) and a renderer (the campaign JSON).
+:func:`repro.resilience.run_cells` resolves the cells under a
+supervisor, serially or over forked workers; records come back in
+scenario order, so the campaign JSON is byte-identical across modes.
 
 The adversarial strategy loops here: after the base sample, each
 refinement round ranks cells by disagreement (missing + spurious
@@ -19,13 +20,14 @@ findings vs. the manifest), perturbs the worst offenders
 from __future__ import annotations
 
 import json
+import os
 import tempfile
 from dataclasses import dataclass, field
 from functools import partial
-from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from ..analysis import AnalysisConfig, analyze_events, analyze_run
+from ..analysis.model import AnalysisResult
 from ..core.registry import PropertySpec
 from ..faults import FaultInjector, FaultPlan
 from ..resilience import run_cells
@@ -92,6 +94,7 @@ class ScenarioCell:
 
 def _build_cell(
     scenario: Scenario,
+    manifest: GroundTruthManifest,
     detected: Sequence[str] = (),
     events: int = 0,
     run_id: Optional[str] = None,
@@ -101,7 +104,6 @@ def _build_cell(
 ) -> ScenarioCell:
     from ..stats import grade_cell
 
-    manifest = scenario.manifest()
     detected = tuple(detected)
     _, _, missing, spurious = grade_cell(
         manifest.expected, manifest.allowed, detected, families
@@ -126,87 +128,89 @@ def cell_key(scenario: Scenario) -> str:
     )
 
 
+class AnalyzedCell(NamedTuple):
+    """What :func:`run_noisy_cell` returns for one sweep cell."""
+
+    run: object
+    events: Sequence  # what the analysis saw (salvaged after faults)
+    salvaged: bool  # the reader recovered a trace cut mid-record
+    run_id: Optional[str]  # None without an archive
+    analysis: AnalysisResult
+
+
 def run_noisy_cell(
     pspec: PropertySpec,
     size: int,
     threads: int,
     seed: int,
-    plan: FaultPlan,
+    plan: Optional[FaultPlan],
     magnitude: float,
-    threshold: float,
     families: Tuple[str, ...],
-    workdir: Path,
     time_budget: Optional[float] = None,
     archive=None,
     manifest: Optional[dict] = None,
-) -> Tuple[Tuple[str, ...], int, bool, Optional[str]]:
+    params: Optional[dict] = None,
+) -> AnalyzedCell:
     """One sweep cell: simulate, round-trip the trace, archive, analyze.
 
-    Runs ``pspec`` under ``plan`` scaled to ``magnitude``.  When the
-    scaled plan carries trace faults, the trace round-trips through
-    ``write_trace`` with the injector and the salvaging reader, so the
-    analyzer sees what landed on disk.  With an ``archive``, the
-    analyzed events are recorded under the scaled plan, with the
-    ground-truth ``manifest`` when there is one.
+    Runs ``pspec`` with ``params`` under ``plan`` scaled to
+    ``magnitude``; ``plan=None`` is the clean run, archived with no
+    plan.  When the scaled plan carries trace faults, the trace
+    round-trips through ``write_trace`` with the injector and the
+    salvaging reader, via a temp file removed after the read, so the
+    ``families`` battery analyzes what landed on disk.  With an
+    ``archive``, the analyzed events are recorded under the scaled
+    plan, with the ground-truth ``manifest`` when there is one.
 
-    Returns ``(detected, events, salvaged, run_id)``: the property ids
-    found at ``threshold`` by the ``families`` battery, the number of
-    analyzed events, whether the reader salvaged a truncated trace,
-    and the archive run id (None without an archive).  Failures raise
-    -- a deadlock or hang with its structured report intact -- for
-    the supervisor to classify.
-
-    Campaign and robustness cells both run here, and the trace I/O and
+    Failures raise -- a deadlock or hang with its structured report
+    intact -- for the supervisor to classify.  The trace I/O and
     analysis functions are called through this module's globals,
     where perfbench's layer probes wrap them.
     """
     from ..stats import battery_for
 
     detectors = battery_for(families)
-    scaled = plan.scaled(magnitude)
+    scaled = None if plan is None else plan.scaled(magnitude)
     injector = FaultInjector.coerce(scaled, seed=seed)
     run = pspec.run(
         size=size,
         num_threads=threads,
+        params=params,
         seed=seed,
         faults=injector,
         time_budget=time_budget,
     )
-    transport = getattr(run, "transport", None)
     faulty = injector is not None and injector.has_trace_faults
     events, salvaged = run.events, False
     if faulty:
-        # named by the cell's key fields (scenario names carry a
-        # ``/``), so concurrent forked cells never share a file
-        path = workdir / (
-            f"{pspec.name.replace('/', '-')}-m{magnitude:g}-s{seed}"
-            ".trace.jsonl"
-        )
-        write_trace(
-            path,
-            run.events,
-            metadata={"program": pspec.name, "seed": seed},
-            faults=injector,
-        )
-        events, metadata = read_trace(
-            path, skip_bad_lines=True, salvage=True
-        )
+        fd, path = tempfile.mkstemp(prefix="ats-cell-", suffix=".jsonl")
+        os.close(fd)
+        try:
+            write_trace(
+                path,
+                run.events,
+                metadata={"program": pspec.name, "seed": seed},
+                faults=injector,
+            )
+            events, metadata = read_trace(
+                path, skip_bad_lines=True, salvage=True
+            )
+        finally:
+            os.unlink(path)
         salvaged = bool(metadata.get("truncated"))
     run_id = None
     if archive is not None:
         run_id = archive.record_run(
-            pspec,
-            run,
-            size,
-            threads,
-            seed,
-            plan=dict(scaled.to_dict(), magnitude=magnitude),
-            manifest=manifest,
-            events=events,
+            pspec, run, size, threads, seed, params=params,
+            plan=None if scaled is None else dict(
+                scaled.to_dict(), magnitude=magnitude
+            ),
+            manifest=manifest, events=events,
         ).run_id
     if not faulty:
         analysis = analyze_run(run, detectors=detectors)
     else:
+        transport = getattr(run, "transport", None)
         config = (
             AnalysisConfig(eager_threshold=transport.eager_threshold)
             if transport is not None
@@ -218,7 +222,7 @@ def run_noisy_cell(
             config=config,
             detectors=detectors,
         )
-    return analysis.detected(threshold), len(events), salvaged, run_id
+    return AnalyzedCell(run, events, salvaged, run_id, analysis)
 
 
 @dataclass
@@ -329,68 +333,53 @@ def run_campaign(
 
     scenarios = generate_scenarios(spec)
     next_index = len(scenarios)
-    with tempfile.TemporaryDirectory(prefix="ats-synth-") as tmp:
-        workdir = Path(tmp)
 
-        def cell(scenario: Scenario) -> ScenarioCell:
-            pspec = scenario.build_spec()
-            manifest = scenario.manifest()
-            manifest.validate()
-            detected, events, salvaged, run_id = run_noisy_cell(
-                pspec,
-                scenario.size,
-                scenario.threads,
-                scenario.seed,
-                spec.noise.plan,
-                scenario.noise_magnitude,
-                threshold,
-                families,
-                workdir,
-                time_budget,
-                archive,
-                manifest=manifest.to_dict(),
-            )
-            return _build_cell(
-                scenario, detected, events, run_id, salvaged=salvaged,
-                families=families,
-            )
+    def cell(
+        scenario: Scenario, manifest: GroundTruthManifest
+    ) -> ScenarioCell:
+        manifest.validate()
+        analyzed = run_noisy_cell(
+            scenario.build_spec(), scenario.size, scenario.threads,
+            scenario.seed, spec.noise.plan, scenario.noise_magnitude,
+            families, time_budget, archive, manifest=manifest.to_dict(),
+        )
+        return _build_cell(
+            scenario, manifest, analyzed.analysis.detected(threshold),
+            len(analyzed.events), analyzed.run_id,
+            salvaged=analyzed.salvaged, families=families,
+        )
 
-        def run_batch(batch: Sequence[Scenario]) -> None:
-            outcomes = run_cells(
-                [(cell_key(sc), partial(cell, sc)) for sc in batch],
-                ScenarioCell.from_dict,
-                settings,
-                supervisor,
-                archive,
-                workers,
-            )
-            result.cells.extend(
-                outcome.value
-                if outcome.ok
-                else _build_cell(
-                    scenario, error=outcome.failure.error,
-                    families=families,
+    def run_batch(batch: Sequence[Scenario]) -> None:
+        cells = []
+        for scenario in batch:
+            manifest = scenario.manifest()  # once per cell
+            cells.append((
+                cell_key(scenario),
+                partial(cell, scenario, manifest),
+                partial(_build_cell, scenario, manifest, families=families),
+            ))
+        result.cells.extend(run_cells(
+            cells, ScenarioCell.from_dict, settings, supervisor, archive,
+            workers,
+        ))
+        check_failures()
+
+    run_batch(scenarios)
+    if spec.strategy == "adversarial":
+        for round_index in range(spec.adversarial_rounds):
+            worst = sorted(
+                result.disagreements(),
+                key=lambda c: (-c.disagreement, c.scenario.index),
+            )[: spec.adversarial_top]
+            if not worst:
+                break
+            rng = adversarial_rng(spec, round_index)
+            mutants = [
+                mutate_scenario(
+                    spec, cell.scenario, next_index + j, rng
                 )
-                for scenario, outcome in zip(batch, outcomes)
-            )
-            check_failures()
-
-        run_batch(scenarios)
-        if spec.strategy == "adversarial":
-            for round_index in range(spec.adversarial_rounds):
-                worst = sorted(
-                    result.disagreements(),
-                    key=lambda c: (-c.disagreement, c.scenario.index),
-                )[: spec.adversarial_top]
-                if not worst:
-                    break
-                rng = adversarial_rng(spec, round_index)
-                mutants = [
-                    mutate_scenario(
-                        spec, cell.scenario, next_index + j, rng
-                    )
-                    for j, cell in enumerate(worst)
-                ]
-                next_index += len(mutants)
-                run_batch(mutants)
+                for j, cell in enumerate(worst)
+            ]
+            next_index += len(mutants)
+            run_batch(mutants)
     return result

@@ -18,9 +18,8 @@ from typing import Dict, Optional, Tuple
 
 from ..asl.catalog import ANALYZER_PROPERTY_IDS
 from ..core.composite import Step
-from ..core.registry import PropertySpec, get_property
+from ..core.registry import GLOBALLY_ALLOWED, PropertySpec, get_property
 from ..simmpi.communicator import Communicator
-from ..validation.harness import GLOBALLY_ALLOWED
 from .spec import BAND_FACTORS, SynthError
 
 #: benign app skeletons (repro.apps) usable as the surrounding program,

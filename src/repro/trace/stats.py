@@ -8,7 +8,8 @@ inclusive time of its direct children.
 :func:`region_intervals` is the shared replay underneath: one pass
 over enter/exit events yielding every completed region instance with
 its nesting depth -- :func:`profile_trace` aggregates the intervals,
-:mod:`repro.obs.chrome` renders them as timeline slices.
+:mod:`repro.obs.chrome` renders them as timeline slices, and
+:mod:`repro.trace.timeline` draws them, open regions included.
 """
 
 from __future__ import annotations
@@ -88,13 +89,19 @@ class RegionInterval:
 
 def region_intervals(
     events: Iterable[Event],
+    close_open: bool = False,
 ) -> Iterator[RegionInterval]:
     """Replay enter/exit events into completed intervals (exit order).
 
     Events must be time-ordered per location (as recorded).  Mismatched
     exits and regions left open at the end of the stream are tolerated
-    and skipped, so truncated traces still profile.
+    and skipped, so truncated traces still profile.  With
+    ``close_open`` (the timeline's view of a cut trace), the regions
+    left open are yielded last instead, each closed at its location's
+    last event time, innermost first.
     """
+    if close_open:
+        events = list(events)
     stacks: dict[Location, list[list]] = defaultdict(list)
     # stack entry: [region, enter_time, path, child_inclusive]
     for event in events:
@@ -118,6 +125,19 @@ def region_intervals(
                 exit=event.time,
                 depth=len(stack),
                 child_time=child_incl,
+            )
+    if not close_open:
+        return
+    last: dict[Location, float] = {}
+    for event in events:
+        last[event.loc] = max(last.get(event.loc, 0.0), event.time)
+    for loc, stack in stacks.items():
+        while stack:
+            region, start, path, child_incl = stack.pop()
+            if stack:
+                stack[-1][3] += last[loc] - start
+            yield RegionInterval(
+                loc, region, path, start, last[loc], len(stack), child_incl
             )
 
 

@@ -19,10 +19,10 @@ The innermost active region at each bucket midpoint wins.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .events import Enter, Event, Exit, Location
+from .events import Event, Location
+from .stats import RegionInterval, region_intervals
 
 _CATEGORY_CHARS = [
     # (predicate prefix, char) checked in order on the innermost region
@@ -73,33 +73,11 @@ def region_char(region: str) -> str:
 
 def _interval_lists(
     events: Sequence[Event],
-) -> dict[Location, list[tuple[float, float, str, int]]]:
-    """Per location: list of (start, end, region, depth) intervals."""
-    open_stacks: dict[Location, list[tuple[str, float]]] = {}
-    intervals: dict[Location, list[tuple[float, float, str, int]]] = {}
-    last_time: dict[Location, float] = {}
-    for event in events:
-        if isinstance(event, Enter):
-            open_stacks.setdefault(event.loc, []).append(
-                (event.region, event.time)
-            )
-        elif isinstance(event, Exit):
-            stack = open_stacks.get(event.loc, [])
-            if stack and stack[-1][0] == event.region:
-                region, start = stack.pop()
-                intervals.setdefault(event.loc, []).append(
-                    (start, event.time, region, len(stack))
-                )
-        last_time[event.loc] = max(
-            last_time.get(event.loc, 0.0), event.time
-        )
-    # Close any still-open regions at the location's last event time.
-    for loc, stack in open_stacks.items():
-        while stack:
-            region, start = stack.pop()
-            intervals.setdefault(loc, []).append(
-                (start, last_time.get(loc, start), region, len(stack))
-            )
+) -> dict[Location, list[RegionInterval]]:
+    """Per location: its region intervals, still-open regions closed."""
+    intervals: dict[Location, list[RegionInterval]] = {}
+    for interval in region_intervals(events, close_open=True):
+        intervals.setdefault(interval.loc, []).append(interval)
     return intervals
 
 
@@ -132,12 +110,12 @@ def render_timeline(
     for loc in locations:
         # Sort intervals by depth so deeper (innermost) paint last.
         row = [" "] * width
-        for start, stop, region, depth in sorted(
-            intervals[loc], key=lambda iv: iv[3]
-        ):
-            char = region_char(region)
-            first = max(0, min(width - 1, int(start / dt)))
-            last = max(0, min(width - 1, int(max(start, stop - 1e-12) / dt)))
+        for iv in sorted(intervals[loc], key=lambda iv: iv.depth):
+            char = region_char(iv.region)
+            first = max(0, min(width - 1, int(iv.enter / dt)))
+            last = max(
+                0, min(width - 1, int(max(iv.enter, iv.exit - 1e-12) / dt))
+            )
             for col in range(first, last + 1):
                 row[col] = char
         lines.append(f"{str(loc):>6} |{''.join(row)}|")
@@ -153,9 +131,11 @@ def state_at(
 ) -> str | None:
     """Innermost region active at ``loc`` at ``time`` (None if idle)."""
     best: tuple[int, str] | None = None
-    for start, stop, region, depth in _interval_lists(
+    for iv in _interval_lists(
         sorted(events, key=lambda e: e.time)
     ).get(loc, []):
-        if start <= time < stop and (best is None or depth > best[0]):
-            best = (depth, region)
+        if iv.enter <= time < iv.exit and (
+            best is None or iv.depth > best[0]
+        ):
+            best = (iv.depth, iv.region)
     return best[1] if best else None

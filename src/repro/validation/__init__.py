@@ -10,9 +10,9 @@
   suite collections as structured data.
 """
 
+from ..core.registry import GLOBALLY_ALLOWED
 from .experiments import SweepPoint, SweepResult, run_sweep
 from .harness import (
-    GLOBALLY_ALLOWED,
     ToolCertificate,
     certify_tool,
     MatrixResult,

@@ -5,7 +5,11 @@ test programs can then be executed through scripting languages or
 through automatic experiment management systems, such as ZENTURIO."
 This module is that layer: declarative sweeps over severity factors,
 world sizes or arbitrary parameter grids, producing structured records
-and CSV-able tables.
+and CSV-able tables.  A sweep is a point generator, a record builder
+(:class:`SweepPoint`) and a renderer (the CSV); each point runs
+through the one cell pipeline,
+:func:`repro.synth.campaign.run_noisy_cell`, as a clean run.  Points
+run unsupervised: a crashing program raises.
 """
 
 from __future__ import annotations
@@ -14,8 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..analysis import analyze_run
-from ..core.registry import PropertySpec, get_property
+from ..core.registry import get_property
 
 
 @dataclass(frozen=True)
@@ -93,6 +96,8 @@ def run_sweep(
 
     All combinations of whatever is provided are executed.
     """
+    from ..synth.campaign import run_noisy_cell
+
     spec = get_property(property_name)
     factors = list(severity_factors or [1.0])
     size_list = list(sizes or [8])
@@ -108,13 +113,11 @@ def run_sweep(
             for size in size_list:
                 params = spec.scaled_params(factor)
                 params.update(dict(zip(grid_keys, combo)))
-                run = spec.run(
-                    size=size,
-                    num_threads=num_threads,
+                analyzed = run_noisy_cell(
+                    spec, size, num_threads, seed, None, 0.0, ("rule",),
                     params=params,
-                    seed=seed,
                 )
-                analysis = analyze_run(run)
+                analysis = analyzed.analysis
                 config: Dict[str, Any] = {
                     "factor": factor,
                     "size": size,
@@ -124,7 +127,7 @@ def run_sweep(
                     SweepPoint(
                         property_name=property_name,
                         config=config,
-                        final_time=run.final_time,
+                        final_time=analyzed.run.final_time,
                         severities=analysis.severities_by_property(),
                         detected=analysis.detected(),
                     )

@@ -10,32 +10,29 @@ analysis tool under test, and check that
   (**negative correctness**).
 
 The tool under test is pluggable (any callable from run result to
-detected property ids); the bundled analyzer is the default.
+detected property ids, see :mod:`repro.analysis.tools`); the bundled
+analyzer is the default.
+
+The matrix is a cell generator (one cell per program), a record
+builder (:func:`_build_row`, a :class:`MatrixRow` graded by
+:func:`repro.stats.grade_cell`) and a renderer (the table).  Each
+program runs through the one cell pipeline,
+:func:`repro.synth.campaign.run_noisy_cell`, as a clean run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from ..analysis import analyze_run
+from ..analysis.model import AnalysisResult
+from ..analysis.tools import ToolFn, pattern_tool
 from ..core.registry import PropertySpec, list_properties
 from ..resilience import run_cells
 
-#: properties tolerated in any program (framework overhead, paper fig 3.2)
-GLOBALLY_ALLOWED = ("mpi_init_overhead",)
-
-DetectorFn = Callable[[object], Tuple[str, ...]]
-
-
-def default_tool(threshold: float = 0.01) -> DetectorFn:
-    """The bundled analyzer as a tool-under-test adapter."""
-
-    def tool(run) -> Tuple[str, ...]:
-        return analyze_run(run).detected(threshold)
-
-    return tool
+#: the bundled analyzer as a tool under test, under its old name
+default_tool = pattern_tool
 
 
 @dataclass
@@ -171,7 +168,7 @@ class MatrixResult:
 
 def validate_spec(
     spec: PropertySpec,
-    tool: Optional[DetectorFn] = None,
+    tool: Optional[ToolFn] = None,
     size: int = 8,
     num_threads: int = 4,
     seed: int = 0,
@@ -184,46 +181,56 @@ def validate_spec(
     records each executed run's trace in the archive, so a matrix pass
     doubles as baseline collection for ``ats diff``.
     """
-    run = spec.run(
-        size=size,
-        num_threads=num_threads,
-        seed=seed,
-        time_budget=time_budget,
-    )
+    from ..synth.campaign import run_noisy_cell
+
     if archive is not None:
         from ..archive import coerce_archive
 
-        coerce_archive(archive).record_run(
-            spec, run, size, num_threads, seed
-        )
+        archive = coerce_archive(archive)
     # One analysis serves severity, localization and, with no tool
-    # given, the verdict of the bundled analyzer (``default_tool``).
-    analysis = analyze_run(run)
-    detected = tuple(
-        analysis.detected(0.01) if tool is None else tool(run)
+    # given, the verdict of the bundled analyzer.
+    analyzed = run_noisy_cell(
+        spec, size, num_threads, seed, None, 0.0, ("rule",),
+        time_budget, archive,
     )
-    tolerated = set(spec.expected) | set(spec.allowed) | set(
-        GLOBALLY_ALLOWED
+    detected = (
+        analyzed.analysis.detected(0.01)
+        if tool is None
+        else tool(analyzed.run)
     )
-    missing = tuple(p for p in spec.expected if p not in detected)
-    spurious = tuple(p for p in detected if p not in tolerated)
-    severity = sum(
-        analysis.severity(property=p) for p in spec.expected
+    return _build_row(
+        spec, detected, analyzed.analysis, analyzed.run.final_time
     )
-    # Localization: the dominant call path of each intended property
-    # must pass through the property function's own trace region.
+
+
+def _build_row(
+    spec: PropertySpec,
+    detected: Sequence[str],
+    analysis: Optional[AnalysisResult],
+    final_time: float,
+    error: Optional[str] = None,
+) -> MatrixRow:
+    """One graded matrix row; a failed program has no ``analysis``."""
+    from ..stats import grade_cell
+
+    detected = tuple(detected)
+    _, _, missing, spurious = grade_cell(
+        spec.expected, spec.allowed, detected, ("rule",)
+    )
+    severity = 0.0
     localized: Optional[bool] = None
-    if spec.expected and not missing:
-        localized = True
-        for prop in spec.expected:
-            callpaths = analysis.callpaths_of(prop)
-            if not callpaths:
-                localized = False
-                break
-            top_path = next(iter(callpaths))
-            if spec.name not in top_path:
-                localized = False
-                break
+    if analysis is not None:
+        severity = sum(
+            analysis.severity(property=p) for p in spec.expected
+        )
+        # Localization: the dominant call path of each intended
+        # property must pass through the property function's own
+        # trace region.
+        if spec.expected and not missing:
+            localized = all(
+                spec.name in next(iter(analysis.callpaths_of(p)), ())
+                for p in spec.expected
+            )
     return MatrixRow(
         name=spec.name,
         paradigm=spec.paradigm,
@@ -233,24 +240,8 @@ def validate_spec(
         missing=missing,
         spurious=spurious,
         severity=severity,
-        final_time=run.final_time,
+        final_time=final_time,
         localized=localized,
-    )
-
-
-def _failed_row(spec: PropertySpec, error: str) -> MatrixRow:
-    """The row a quarantined program contributes to the matrix."""
-    return MatrixRow(
-        name=spec.name,
-        paradigm=spec.paradigm,
-        negative=spec.negative,
-        expected=spec.expected,
-        detected=(),
-        missing=spec.expected,
-        spurious=(),
-        severity=0.0,
-        final_time=0.0,
-        localized=None,
         error=error,
     )
 
@@ -262,7 +253,7 @@ def matrix_cell_key(spec_name: str, size: int, seed: int) -> str:
 
 def run_validation_matrix(
     specs: Optional[Sequence[PropertySpec]] = None,
-    tool: Optional[DetectorFn] = None,
+    tool: Optional[ToolFn] = None,
     size: int = 8,
     num_threads: int = 4,
     seed: int = 0,
@@ -292,12 +283,17 @@ def run_validation_matrix(
     ``tool`` callable must therefore not depend on parent-side mutable
     state if it is to behave identically under ``workers > 1``.
     """
+    # Load the cell pipeline and the grading rule before any fork, so
+    # forked cells share them instead of each importing them.
+    from ..stats import grade_cell  # noqa: F401
+    from ..synth import campaign  # noqa: F401
+
     specs = list_properties() if specs is None else list(specs)
     if archive is not None:
         from ..archive import coerce_archive
 
         archive = coerce_archive(archive)
-    outcomes = run_cells(
+    rows = run_cells(
         [
             (
                 matrix_cell_key(spec.name, size, seed),
@@ -311,6 +307,7 @@ def run_validation_matrix(
                     time_budget=time_budget,
                     archive=archive,
                 ),
+                partial(_build_row, spec, (), None, 0.0),
             )
             for spec in specs
         ],
@@ -320,14 +317,7 @@ def run_validation_matrix(
         archive,
         workers,
     )
-    return MatrixResult(
-        rows=[
-            outcome.value
-            if outcome.ok
-            else _failed_row(spec, outcome.failure.error)
-            for spec, outcome in zip(specs, outcomes)
-        ]
-    )
+    return MatrixResult(rows=rows)
 
 
 @dataclass(frozen=True)
@@ -364,7 +354,7 @@ class ToolCertificate:
 
 
 def certify_tool(
-    tool: Optional[DetectorFn] = None,
+    tool: Optional[ToolFn] = None,
     size: int = 8,
     num_threads: int = 4,
     seed: int = 0,

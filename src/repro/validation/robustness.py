@@ -9,9 +9,12 @@ reports it) and a **false-positive curve** (fraction of runs that
 should *not* exhibit it where the tool reports it anyway) as functions
 of perturbation magnitude.
 
-The per-cell pipeline, :func:`repro.synth.campaign.run_noisy_cell`
-(shared with synthesis campaigns), matches how a real tool meets a
-noisy run:
+A sweep is a cell generator (the program x magnitude x seed grid), a
+record builder (:func:`_build_cell`, a :class:`RobustnessCell` graded
+by :func:`repro.stats.grade_cell` against the registry ground truth)
+and a renderer (the curves table and JSON).  Every cell runs the one
+cell pipeline, :func:`repro.synth.campaign.run_noisy_cell`, which
+matches how a real tool meets a noisy run:
 
 1. execute the program with the scaled plan's runtime perturbations
    (stragglers, jitter, latency noise, reorder) active,
@@ -19,8 +22,7 @@ noisy run:
    :func:`~repro.trace.io.write_trace` with the fault injector and
    read it back with ``skip_bad_lines`` + ``salvage`` (the recovery
    path),
-3. analyze; this module then compares against the registry ground
-   truth.
+3. archive and analyze.
 
 Magnitude 0 scales every perturbation to a no-op, so the zero point of
 each curve is exactly the clean validation matrix.  Everything is
@@ -31,16 +33,13 @@ produces byte-identical JSON across invocations.
 from __future__ import annotations
 
 import json
-import tempfile
 from dataclasses import dataclass, field
 from functools import partial
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.registry import PropertySpec, list_properties
 from ..faults import FaultPlan
 from ..resilience import run_cells
-from .harness import GLOBALLY_ALLOWED
 
 #: default magnitude grid (>= 3 nonzero-capable points, anchored at 0)
 DEFAULT_MAGNITUDES: Tuple[float, ...] = (0.0, 0.35, 0.7, 1.0)
@@ -262,10 +261,7 @@ def _build_cell(
 
     detected = tuple(detected)
     expected, tolerated, missing, spurious = grade_cell(
-        spec.expected,
-        set(spec.allowed) | set(GLOBALLY_ALLOWED),
-        detected,
-        families,
+        spec.expected, spec.allowed, detected, families
     )
     return RobustnessCell(
         program=spec.name,
@@ -353,12 +349,6 @@ def run_robustness(
     from ..synth.campaign import run_noisy_cell
 
     battery_for(families)  # validates family names
-    grid = [
-        (spec, magnitude, seed)
-        for spec in specs
-        for magnitude in magnitudes
-        for seed in seeds
-    ]
     settings = {
         "size": size,
         "threads": num_threads,
@@ -367,52 +357,41 @@ def run_robustness(
         "families": list(families),
         "time_budget": time_budget,
     }
-    with tempfile.TemporaryDirectory(prefix="ats-robustness-") as tmp:
-        workdir = Path(tmp)
 
-        def cell(spec, magnitude, seed) -> RobustnessCell:
-            detected, events, salvaged, _run_id = run_noisy_cell(
-                spec,
-                size,
-                num_threads,
-                seed,
-                plan,
-                magnitude,
-                threshold,
-                families,
-                workdir,
-                time_budget,
-                archive,
-            )
-            return _build_cell(
-                spec, magnitude, seed, detected, events,
-                salvaged=salvaged, families=families,
-            )
-
-        outcomes = run_cells(
-            [
-                (cell_key(spec.name, magnitude, seed),
-                 partial(cell, spec, magnitude, seed))
-                for spec, magnitude, seed in grid
-            ],
-            RobustnessCell.from_dict,
-            settings,
-            supervisor,
-            archive,
-            workers,
+    def cell(spec, magnitude, seed) -> RobustnessCell:
+        analyzed = run_noisy_cell(
+            spec, size, num_threads, seed, plan, magnitude, families,
+            time_budget, archive,
         )
+        return _build_cell(
+            spec, magnitude, seed, analyzed.analysis.detected(threshold),
+            len(analyzed.events), salvaged=analyzed.salvaged,
+            families=families,
+        )
+
+    cells = run_cells(
+        [
+            (
+                cell_key(spec.name, magnitude, seed),
+                partial(cell, spec, magnitude, seed),
+                partial(
+                    _build_cell, spec, magnitude, seed, families=families
+                ),
+            )
+            for spec in specs
+            for magnitude in magnitudes
+            for seed in seeds
+        ],
+        RobustnessCell.from_dict,
+        settings,
+        supervisor,
+        archive,
+        workers,
+    )
     return RobustnessResult(
         magnitudes=magnitudes,
         seeds=seeds,
         plan=plan,
-        cells=[
-            outcome.value
-            if outcome.ok
-            else _build_cell(
-                spec, magnitude, seed, error=outcome.failure.error,
-                families=families,
-            )
-            for (spec, magnitude, seed), outcome in zip(grid, outcomes)
-        ],
+        cells=cells,
         families=families,
     )

@@ -102,6 +102,16 @@ def test_matrix_command_subset_passes(capsys):
     assert rc == 0
 
 
+def test_matrix_reports_quarantined_rows(capsys):
+    # every sweep runs supervised, so a hung row's reason is printed
+    rc = main([
+        "matrix", "--size", "4", "--threads", "2", "--time-budget", "0.05",
+    ])
+    out = capsys.readouterr().out
+    assert "24 quarantined (24 hang)" in out
+    assert rc == 1
+
+
 def test_certify_command(capsys):
     rc = main(["certify", "--size", "4", "--threads", "2"])
     out = capsys.readouterr().out

@@ -7,6 +7,8 @@ name used to surface as raw tracebacks.
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 
@@ -231,3 +233,34 @@ def test_robustness_cli_rejects_bad_args(capsys):
     assert_clean_error(rc, err, "--seeds must be >= 1")
     rc, _, err = _run(capsys, "robustness", "--program", "nope")
     assert_clean_error(rc, err, "unknown property function 'nope'")
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["run", "late_sender", "--size", "1"],
+     "'size' must be at least 2 for late_sender, got 1"),
+    (["run", "imbalance_in_omp_pregion", "--threads", "0"],
+     "'threads' must be at least 1, got 0"),
+    (["metrics", "late_sender", "--size", "1"],
+     "'size' must be at least 2 for late_sender"),
+    (["stats", "late_sender", "--size", "1"],
+     "'size' must be at least 2 for late_sender"),
+    (["sweep", "late_sender", "--factors", "x"], "bad --factors value"),
+    (["sweep", "late_sender", "--sizes", "x"], "bad --sizes value"),
+    (["sweep", "late_sender", "--sizes", "1"],
+     "'size' must be at least 2 for late_sender"),
+    (["chain", "--size", "0"], "world size must be >= 1, got 0"),
+    (["split", "--size", "1"], "split program needs an even size >= 4"),
+    (["split", "--lower", "nope"], "unknown property function 'nope'"),
+])
+def test_bad_sizes_threads_and_lists_are_clean_errors(capsys, argv, needle):
+    rc, _, err = _run(capsys, *argv)
+    assert_clean_error(rc, err, needle)
+
+
+def test_archive_run_bad_size_is_clean_error(tmp_path, capsys):
+    rc, _, err = _run(
+        capsys, "archive", "run", "late_sender", "--size", "1",
+        "--archive", str(tmp_path / "archive"),
+    )
+    assert_clean_error(rc, err, "'size' must be at least 2 for late_sender")
+    assert not (tmp_path / "archive").exists()

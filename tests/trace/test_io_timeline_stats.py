@@ -237,3 +237,21 @@ def test_region_intervals_tolerates_truncation():
     rec.enter(0.0, L0, "main")
     rec.enter(1.0, L0, "work")  # never exited
     assert list(region_intervals(rec.events)) == []
+
+
+def test_region_intervals_closes_open_regions_only_on_request():
+    rec = TraceRecorder()
+    rec.enter(0.0, L0, "main")
+    rec.enter(1.0, L0, "work")  # never exited
+    rec.enter(2.0, L0, "MPI_Send")
+    rec.exit(3.0, L0, "MPI_Send")
+    assert [i.region for i in region_intervals(rec.events)] == ["MPI_Send"]
+    closed = list(region_intervals(rec.events, close_open=True))
+    # completed intervals first, then open ones innermost first, each
+    # closed at the location's last event time
+    assert [(i.region, i.depth) for i in closed] == [
+        ("MPI_Send", 2), ("work", 1), ("main", 0),
+    ]
+    assert all(i.exit == pytest.approx(3.0) for i in closed)
+    main = closed[-1]
+    assert main.exclusive == pytest.approx(1.0)  # minus work's 2 s

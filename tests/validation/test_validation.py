@@ -51,16 +51,17 @@ def test_validation_matrix_subset():
 
 
 def test_matrix_analyzes_each_row_once(monkeypatch):
-    from repro.validation import harness
+    # matrix rows are analyzed in the one cell pipeline
+    from repro.synth import campaign
 
     calls = []
-    real = harness.analyze_run
+    real = campaign.analyze_run
 
     def counting(run, *args, **kwargs):
         calls.append(run)
         return real(run, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "analyze_run", counting)
+    monkeypatch.setattr(campaign, "analyze_run", counting)
     specs = [
         get_property("late_sender"),
         get_property("balanced_mpi_barrier"),
