@@ -13,6 +13,14 @@ that detector's cells miss; every other cell (and the meta cell) still
 hits, so re-analysis recomputes exactly the affected column of the
 matrix.
 
+:func:`lookup_archived` is the read-and-assemble half alone: the
+result when every cell is stored, else ``None`` with nothing counted.
+:func:`analyze_archived` runs that same assembly first and computes
+only on a miss.  The default battery's cell keys are memoized per
+:class:`~repro.analysis.AnalysisConfig`
+(:func:`~repro.archive.fingerprint.default_detector_fingerprints`), so
+a warm analyze hashes no detector.
+
 A missing cell is computed by :func:`~repro.analysis.analyze_events`
 with that one detector over an index of the stored trace, so cached
 and fresh findings come from the same detector loop, and archive and
@@ -30,7 +38,7 @@ metric families.
 from __future__ import annotations
 
 import threading
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from ..analysis import AnalysisConfig, DEFAULT_DETECTORS, ANALYZER_VERSION
 from ..analysis.analyzer import analyze_events, build_index
@@ -45,7 +53,7 @@ from .codec import (
     meta_from_dict,
     meta_to_dict,
 )
-from .fingerprint import detector_fingerprint
+from .fingerprint import default_detector_fingerprints, detector_fingerprint
 from .store import ArchiveStore
 
 
@@ -76,14 +84,16 @@ class CacheStats:
         return f"cache: {self.hits} hits, {self.misses} misses ({rate:.0%})"
 
 
-def count_lookup(stats: Optional[CacheStats], stage: str, hit: bool) -> None:
-    """Count one cache lookup into ``stats`` and the archive metrics."""
+def count_lookup(
+    stats: Optional[CacheStats], stage: str, hit: bool, n: int = 1
+) -> None:
+    """Count ``n`` cache lookups into ``stats`` and the archive metrics."""
     if stats is not None:
-        stats.count(hit)
+        stats.count(hit, n)
     metrics = archive_metrics()
     if metrics is not None:
         family = metrics.hits if hit else metrics.misses
-        family.labels(stage=stage).inc()
+        family.labels(stage=stage).inc(n)
 
 
 def archived_events(store: ArchiveStore, trace_digest: str) -> list[Event]:
@@ -103,6 +113,88 @@ def cell_key(trace_digest: str, det_fp: str) -> str:
     return f"findings|{trace_digest}|{det_fp}"
 
 
+def _battery(
+    record: dict,
+    detectors: Optional[Sequence],
+    config: Optional[AnalysisConfig],
+) -> Tuple[Sequence, AnalysisConfig]:
+    """The battery and config an analyze of ``record`` runs under."""
+    detectors = DEFAULT_DETECTORS if detectors is None else detectors
+    if config is None:
+        eager = record.get("eager_threshold")
+        config = (
+            AnalysisConfig(eager_threshold=eager)
+            if eager is not None
+            else AnalysisConfig()
+        )
+    return detectors, config
+
+
+def _cell_keys(
+    trace_digest: str, detectors: Sequence, config: AnalysisConfig
+) -> list[str]:
+    fingerprints = (
+        default_detector_fingerprints(config)
+        if detectors is DEFAULT_DETECTORS
+        else [detector_fingerprint(d, config) for d in detectors]
+    )
+    return [cell_key(trace_digest, fp) for fp in fingerprints]
+
+
+def _assemble(
+    cached: dict,
+    keys: Sequence[str],
+    mkey: str,
+    stats: Optional[CacheStats],
+) -> Optional[AnalysisResult]:
+    """The result from stored cells alone; ``None`` (uncounted) on a miss.
+
+    Lookups are counted only once every cell has decoded.
+    """
+    payloads = [cached.get(key) for key in keys]
+    meta = cached.get(mkey)
+    if meta is None or any(payload is None for payload in payloads):
+        return None
+    findings: list[Finding] = []
+    for payload in payloads:
+        findings.extend(findings_from_list(payload))
+    total_time, locations = meta_from_dict(meta)
+    if payloads:
+        count_lookup(stats, "detector", True, len(payloads))
+    count_lookup(stats, "meta", True)
+    return AnalysisResult(
+        findings=findings,
+        total_time=total_time,
+        locations=list(locations),
+        comm_registry={},
+    )
+
+
+def lookup_archived(
+    store: ArchiveStore,
+    record: dict,
+    detectors: Optional[Sequence] = None,
+    config: Optional[AnalysisConfig] = None,
+    stats: Optional[CacheStats] = None,
+) -> Optional[AnalysisResult]:
+    """The read-and-assemble half of :func:`analyze_archived`.
+
+    Reads the trace's cell file once and assembles the result when
+    every cell is stored, counting each lookup as a hit.  On any miss
+    it returns ``None`` and counts nothing, so a caller that falls
+    back to :func:`analyze_archived` counts each lookup once.  It
+    never reads the trace blob or runs a detector.
+    """
+    detectors, config = _battery(record, detectors, config)
+    trace_digest = record["trace_digest"]
+    return _assemble(
+        store.get_named(trace_digest),
+        _cell_keys(trace_digest, detectors, config),
+        meta_key(trace_digest),
+        stats,
+    )
+
+
 def analyze_archived(
     store: ArchiveStore,
     record: dict,
@@ -119,28 +211,24 @@ def analyze_archived(
     is byte-identical (canonical JSON) to a fresh
     ``analyze_events(events, total_time=record final time)`` over the
     stored trace, whether it was assembled from cache or computed.
+    A fully warm analyze is :func:`lookup_archived`'s read and
+    assembly; only a miss reads the trace blob.
     """
-    detectors = DEFAULT_DETECTORS if detectors is None else detectors
-    if config is None:
-        eager = record.get("eager_threshold")
-        config = (
-            AnalysisConfig(eager_threshold=eager)
-            if eager is not None
-            else AnalysisConfig()
-        )
+    detectors, config = _battery(record, detectors, config)
     trace_digest = record["trace_digest"]
     cached = store.get_named(trace_digest)
+    keys = _cell_keys(trace_digest, detectors, config)
+    mkey = meta_key(trace_digest)
+    result = _assemble(cached, keys, mkey, stats)
+    if result is not None:
+        return result
 
     cells: list[Optional[list[Finding]]] = []
-    keys: list[str] = []
-    for detector in detectors:
-        key = cell_key(trace_digest, detector_fingerprint(detector, config))
-        keys.append(key)
+    for key in keys:
         payload = cached.get(key)
         count_lookup(stats, "detector", payload is not None)
         cells.append(None if payload is None else findings_from_list(payload))
 
-    mkey = meta_key(trace_digest)
     meta = cached.get(mkey)
     count_lookup(stats, "meta", meta is not None)
     if meta is not None:
@@ -148,21 +236,20 @@ def analyze_archived(
     else:
         total_time, locations = record["final_time"], None
 
-    if any(cell is None for cell in cells) or locations is None:
-        index = build_index(TraceIndex, archived_events(store, trace_digest))
-        computed = {}
-        for i, detector in enumerate(detectors):
-            if cells[i] is None:
-                found = analyze_events(
-                    index, config=config, detectors=[detector]
-                ).findings
-                computed[keys[i]] = findings_to_list(found)
-                cells[i] = found
-        if locations is None:
-            locations = list(index.locations)
-            total_time = record["final_time"]
-            computed[mkey] = meta_to_dict(total_time, locations)
-        store.put_named(trace_digest, computed)
+    index = build_index(TraceIndex, archived_events(store, trace_digest))
+    computed = {}
+    for i, detector in enumerate(detectors):
+        if cells[i] is None:
+            found = analyze_events(
+                index, config=config, detectors=[detector]
+            ).findings
+            computed[keys[i]] = findings_to_list(found)
+            cells[i] = found
+    if locations is None:
+        locations = list(index.locations)
+        total_time = record["final_time"]
+        computed[mkey] = meta_to_dict(total_time, locations)
+    store.put_named(trace_digest, computed)
 
     findings: list[Finding] = []
     for cell in cells:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import inspect
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from ..analysis import ANALYZER_VERSION, DEFAULT_DETECTORS, AnalysisConfig
 from .store import canonical_json, sha256_hex
@@ -141,6 +141,21 @@ def detector_set_fingerprint(
             [detector_fingerprint(d, config) for d in detectors]
         )
     )
+
+
+@lru_cache(maxsize=64)
+def default_detector_fingerprints(
+    config: AnalysisConfig,
+) -> Tuple[str, ...]:
+    """:func:`detector_fingerprint` of each of ``DEFAULT_DETECTORS``.
+
+    Computed once per config (a frozen, hashable dataclass) on first
+    use, never at import.  Every archive analyze with the default
+    battery keys its cells on these; no caller reconfigures the
+    default instances, so the keys are constant for the life of the
+    process.  Any other battery computes its own.
+    """
+    return tuple(detector_fingerprint(d, config) for d in DEFAULT_DETECTORS)
 
 
 @lru_cache(maxsize=None)

@@ -502,10 +502,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     """Run one property with full observability on, dump the registry."""
-    set_metrics_enabled(True)
-    set_spans_enabled(True)
     spec = _resolve_property(args.property)
     _check_grid(spec, args.size, args.threads)
+    set_metrics_enabled(True)
+    set_spans_enabled(True)
     result = spec.run(
         size=args.size, num_threads=args.threads, seed=args.seed
     )

@@ -75,11 +75,14 @@ class CircuitBreaker:
         self._cells: Dict[str, _Cell] = {}
         self._lock = threading.Lock()
 
-    def _transition(self, key: str, cell: _Cell, state: str) -> None:
-        if cell.state != state:
-            cell.state = state
-            if self._on_transition is not None:
-                self._on_transition(key, state)
+    def _notify(self, key: str, state: str) -> None:
+        """Tell the observer ``key`` moved to ``state``, lock released.
+
+        The observer may call back into the breaker (the service's
+        reads :meth:`open_count`), so it never runs under the lock.
+        """
+        if self._on_transition is not None:
+            self._on_transition(key, state)
 
     # ------------------------------------------------------------------
     # the submission path
@@ -96,17 +99,15 @@ class CircuitBreaker:
             cell = self._cells.get(key)
             if cell is None or cell.state == "closed":
                 return
-            now = self._clock()
-            elapsed = now - cell.opened_at
-            if cell.state == "open" and elapsed >= self.cooldown:
-                self._transition(key, cell, "half-open")
-                cell.probing = True
-                return
+            elapsed = self._clock() - cell.opened_at
             if cell.state == "half-open" and not cell.probing:
                 cell.probing = True
                 return
-            retry_after = max(0.1, self.cooldown - elapsed)
-            raise BreakerOpen(key, retry_after)
+            if cell.state != "open" or elapsed < self.cooldown:
+                raise BreakerOpen(key, max(0.1, self.cooldown - elapsed))
+            cell.state = "half-open"
+            cell.probing = True
+        self._notify(key, "half-open")
 
     # ------------------------------------------------------------------
     # outcome accounting
@@ -114,28 +115,24 @@ class CircuitBreaker:
 
     def record_success(self, key: str) -> None:
         with self._lock:
-            cell = self._cells.get(key)
-            if cell is None:
-                return
-            cell.failures = 0
-            cell.probing = False
-            if cell.state != "closed":
-                self._transition(key, cell, "closed")
-                del self._cells[key]
-            else:
-                del self._cells[key]
+            cell = self._cells.pop(key, None)
+        if cell is not None and cell.state != "closed":
+            self._notify(key, "closed")
 
     def record_failure(self, key: str) -> None:
         with self._lock:
             cell = self._cells.setdefault(key, _Cell())
             cell.failures += 1
             cell.probing = False
-            if cell.state == "half-open" or (
+            opens = cell.state == "half-open" or (
                 cell.state == "closed"
                 and cell.failures >= self.threshold
-            ):
+            )
+            if opens:
                 cell.opened_at = self._clock()
-                self._transition(key, cell, "open")
+                cell.state = "open"
+        if opens:
+            self._notify(key, "open")
 
     # ------------------------------------------------------------------
     # inspection

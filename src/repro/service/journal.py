@@ -6,8 +6,11 @@ partial-tail-healing machinery supervised sweeps checkpoint with
 (:class:`repro.resilience.checkpoint.CheckpointJournal`), under its own
 format name and with ``fsync`` on: a record is forced to stable
 storage before the submission is answered, so "the client got a job
-id" implies "a restart will still know about that job".  The start of
-execution is not journaled: recovery re-enqueues a queued job and an
+id" implies "a restart will still know about that job".  An analyze
+answered from stored cells at submit is accepted and finished at
+once, so it writes one ``done`` record carrying its result, which
+recovery restores like any terminal record.  The start of execution
+is not journaled: recovery re-enqueues a queued job and an
 interrupted running one alike.  ``running`` records that older
 journals hold still load and are treated as ``queued``.
 

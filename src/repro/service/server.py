@@ -24,6 +24,14 @@ Three policies sit on the submission path:
   surfaced as 503) and waits for the queue and in-flight jobs to
   empty, the graceful half of shutdown.
 
+One analyze takes neither queue nor worker: when every cell of its run
+is stored (:func:`~repro.archive.cache.lookup_archived`), it is
+answered inside :meth:`AnalysisService.submit`, on the submitting
+thread, after the rate limit, the params and the breaker have passed
+it.  Its one journal record carries both acceptance and result.  It
+never coalesces, since its answer is the stored one under the same
+identity key.  Any miss, and every other kind, takes the queue.
+
 Simulation-running jobs (``run``, ``campaign``, ``synth``) serialize
 on one internal lock: the simulator's worker-pool handoff protocol assumes
 one simulation at a time per process.  Pure host-side jobs (analyze,
@@ -36,7 +44,9 @@ queue, the journal or the circuit breaker.
 Request tracing: every job carries its submission's request id, and
 the service records ``queue-wait`` / ``execute`` / ``archive-cache``
 obs spans tagged with it, completing the HTTP-accept span the HTTP
-layer records.  One Chrome-trace export shows a request's whole life.
+layer records (an analyze answered at submit never queued, so it has
+no ``queue-wait``).  One Chrome-trace export shows a request's whole
+life.
 """
 
 from __future__ import annotations
@@ -49,7 +59,9 @@ from collections import OrderedDict, deque
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
+from ..analysis.model import AnalysisResult
 from ..archive import Archive, ArchiveError, ArchivedRun, CacheStats
+from ..archive.cache import lookup_archived
 from ..archive.fingerprint import default_set_fingerprint
 from ..core import get_property, list_properties
 from ..obs.instruments import service_metrics
@@ -271,7 +283,8 @@ class AnalysisService:
         :class:`JobError`.  In durable mode the job is journaled
         (fsync'd) before this returns -- a journal write failure rolls
         the submission back, so an acknowledged job is always a
-        recoverable one.
+        recoverable one.  An analyze whose cells are all stored comes
+        back already resolved (see :meth:`_answer_stored`).
         """
         params = dict(params or {})
         if not self._accepting:
@@ -289,6 +302,12 @@ class AnalysisService:
         except BreakerOpen:
             self._count("evicted")
             raise
+        if kind == "analyze":
+            job = self._answer_stored(
+                params, key, tenant, request_id, deadline
+            )
+            if job is not None:
+                return job, False
         with self._lock:
             if not self._accepting:
                 raise ServiceDraining("service is draining")
@@ -346,6 +365,64 @@ class AnalysisService:
         metrics = service_metrics()
         if metrics is not None:
             metrics.queue_depth.set(len(self._queue))
+
+    def _answer_stored(
+        self,
+        params: Dict[str, Any],
+        key: Tuple,
+        tenant: str,
+        request_id: str,
+        deadline: Optional[float],
+    ) -> Optional[Job]:
+        """Answer an analyze whose cells are all stored, at submit.
+
+        The job resolves on the submitting thread and writes one
+        journal record carrying both acceptance and result; it never
+        enters the queue, a worker or ``_active_keys``, so it never
+        coalesces (its answer is the stored one, under the same
+        identity key).  Returns None on any miss, counting nothing:
+        the queued path then runs the analyze and counts its lookups.
+        A cell file that cannot be read or decoded goes the same way,
+        so the queued job reports the error and the breaker counts it.
+        A journal write failure registers nothing and propagates.
+        """
+        t0 = time.monotonic()
+        stats = CacheStats()
+        try:
+            analysis = lookup_archived(
+                self.archive.store, params["_run"].to_payload(), stats=stats
+            )
+        except Exception:  # noqa: BLE001 - the queued job reports it
+            return None
+        if analysis is None:
+            return None
+        job = Job(
+            "analyze",
+            params,
+            tenant=tenant,
+            request_id=request_id,
+            coalesce_key=key,
+            deadline=deadline,
+        )
+        job.resolve(self._analysis_result(job, analysis, stats), None)
+        with self._lock:
+            if not self._accepting:
+                raise ServiceDraining("service is draining")
+            self._journal_state(job)
+            self._remember(job)
+            for name in ("submitted", "executed", "done"):
+                self._count_locked(name)
+        metrics = service_metrics()
+        if metrics is not None:
+            metrics.jobs.labels(kind="analyze", status="done").inc()
+            metrics.executed.inc()
+        self.breaker.record_success(params["_cell"])
+        self._count_cache(job, stats)
+        _span(
+            "execute", t0, time.monotonic(),
+            request_id=request_id, job=job.id, kind="analyze",
+        )
+        return job
 
     def _on_breaker_transition(self, key: str, state: str) -> None:
         metrics = service_metrics()
@@ -572,10 +649,17 @@ class AnalysisService:
         }
 
     def _job_analyze(self, job: Job) -> dict:
-        run = job.params["_run"]
         stats = CacheStats()
-        analysis = self.archive.analyze(run, stats=stats)
+        analysis = self.archive.analyze(job.params["_run"], stats=stats)
         self._count_cache(job, stats)
+        return self._analysis_result(job, analysis, stats)
+
+    @staticmethod
+    def _analysis_result(
+        job: Job, analysis: AnalysisResult, stats: CacheStats
+    ) -> dict:
+        """An analyze job's result, queued or answered at submit."""
+        run = job.params["_run"]
         return {
             "run_id": run.run_id,
             "program": run.program,

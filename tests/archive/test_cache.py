@@ -245,3 +245,99 @@ def test_default_battery_fingerprint_is_memoized_exactly():
         DEFAULT_DETECTORS
     )
     assert default_set_fingerprint() is default_set_fingerprint()
+
+
+#: ``default_set_fingerprint()`` as every archived run has recorded it
+#: since the detectors' sources last changed; the golden sweep digests
+#: pin the same value inside their archive manifests.
+DEFAULT_SET_FINGERPRINT = (
+    "bd14330deefac9cf4bb97968225ec02a6406528fc050fd16430b3bc355db7986"
+)
+
+
+@pytest.mark.parametrize("config", [
+    AnalysisConfig(), AnalysisConfig(eager_threshold=65536),
+])
+def test_default_battery_keys_are_memoized_per_config(config):
+    from repro.archive.fingerprint import default_detector_fingerprints
+
+    keys = default_detector_fingerprints(config)
+    assert list(keys) == [
+        detector_fingerprint(d, config) for d in DEFAULT_DETECTORS
+    ]
+    assert default_detector_fingerprints(config) is keys
+    assert default_detector_fingerprints(
+        AnalysisConfig(eager_threshold=config.eager_threshold)
+    ) is keys
+
+
+def test_default_set_fingerprint_is_unchanged():
+    from repro.archive.fingerprint import (
+        default_set_fingerprint,
+        detector_set_fingerprint,
+    )
+
+    assert default_set_fingerprint() == DEFAULT_SET_FINGERPRINT
+    assert detector_set_fingerprint(
+        list(DEFAULT_DETECTORS)
+    ) == DEFAULT_SET_FINGERPRINT
+
+
+def test_reconfigured_default_instance_is_not_served_from_the_memo(
+    tmp_path, spec
+):
+    import copy
+
+    from repro.archive import cell_key
+    from repro.archive.fingerprint import default_detector_fingerprints
+
+    archive = Archive(tmp_path)
+    run = archive.archive_run(spec, size=4, seed=3)
+    archive.analyze(run)  # every default cell stored
+    config = AnalysisConfig(eager_threshold=run.eager_threshold)
+    retuned = copy.copy(DEFAULT_DETECTORS[0])
+    retuned.cutoff = 0.5  # instance state the fingerprint sees
+    battery = (retuned,) + DEFAULT_DETECTORS[1:]
+
+    stats = CacheStats()
+    archive.analyze(run, detectors=battery, stats=stats)
+    # the retuned instance keys its own cell; the other ten still hit
+    assert (stats.hits, stats.misses) == (len(DEFAULT_DETECTORS), 1)
+    memo = default_detector_fingerprints(config)
+    own = detector_fingerprint(retuned, config)
+    assert own != memo[0]
+    cells = archive.store.get_named(run.trace_digest)
+    assert cell_key(run.trace_digest, own) in cells
+    assert cell_key(run.trace_digest, memo[0]) in cells
+
+
+def test_lookup_half_assembles_stored_cells_and_counts_no_miss(
+    tmp_path, spec
+):
+    import json
+
+    from repro.archive.cache import lookup_archived
+
+    archive = Archive(tmp_path)
+    run = archive.archive_run(spec, size=4, seed=3)
+    record = run.to_payload()
+    stats = CacheStats()
+    # cold: nothing stored, nothing counted, nothing computed
+    assert lookup_archived(archive.store, record, stats=stats) is None
+    assert stats.lookups == 0
+    assert archive.store.get_named(run.trace_digest) == {}
+
+    full = archive.analyze(run)
+    archive.store._blob_path(run.trace_digest).unlink()  # never read
+    warm = lookup_archived(archive.store, record, stats=stats)
+    assert (stats.hits, stats.misses) == (len(DEFAULT_DETECTORS) + 1, 0)
+    assert result_to_json_bytes(warm) == result_to_json_bytes(full)
+
+    # one cell lost: a miss again, still uncounted
+    path = archive.store._cells_path(run.trace_digest)
+    cells = json.loads(path.read_text())
+    cells.pop(min(k for k in cells if k.startswith("findings|")))
+    path.write_text(json.dumps(cells))
+    again = CacheStats()
+    assert lookup_archived(archive.store, record, stats=again) is None
+    assert again.lookups == 0

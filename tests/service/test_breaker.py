@@ -195,3 +195,95 @@ class TestServiceIntegration:
         assert job.state == "done"
         assert service.status()["breakers"] == []
         service.close()
+
+    def test_walk_with_metrics_on_moves_the_gauge_and_never_hangs(
+        self, tmp_path
+    ):
+        """The service's observer reads the breaker it observes.
+
+        It used to run under the breaker's lock and take that lock
+        again, so with metrics on the first transition hung its thread.
+        The walk runs on a thread of its own so a regression fails here
+        instead of hanging the suite.
+        """
+        import threading
+        import time
+
+        from repro.archive import Archive
+        from repro.obs import set_metrics_enabled, to_json
+        from repro.service.server import AnalysisService
+
+        set_metrics_enabled(True)
+        clock = FakeClock()
+        service = AnalysisService(
+            Archive(tmp_path / "archive"),
+            max_workers=1,
+            breaker_threshold=2,
+            breaker_cooldown=60.0,
+        )
+        service.breaker._clock = clock
+
+        def family(name):
+            return {
+                tuple(sorted(s["labels"].items())): s["value"]
+                for m in to_json()["metrics"] if m["name"] == name
+                for s in m["samples"]
+            }
+
+        def open_cells():
+            return family("ats_service_breaker_open_cells").get((), 0)
+
+        def await_open_cells(value):
+            deadline = time.monotonic() + 10
+            while open_cells() != value:
+                assert time.monotonic() < deadline, (value, open_cells())
+                time.sleep(0.01)
+
+        def crash(job):
+            raise RuntimeError("injected cell crash")
+
+        gate = threading.Event()
+
+        def held(job):
+            gate.wait(30)
+            return {"count": 0}
+
+        seen = []
+        errors = []
+
+        def walk():
+            try:
+                service._job_history = crash
+                for _ in range(2):
+                    job, _ = service.submit("history", {})
+                    assert job.wait(30) and job.state == "failed"
+                await_open_cells(1)
+                seen.append(("open", open_cells()))
+                with pytest.raises(BreakerOpen):
+                    service.submit("history", {})
+                clock.advance(60.0)
+                service._job_history = held
+                probe, _ = service.submit("history", {})
+                state = service.status()["breakers"][0]["state"]
+                seen.append((state, open_cells()))
+                gate.set()
+                assert probe.wait(30) and probe.state == "done"
+                await_open_cells(0)
+                seen.append(("closed", open_cells()))
+            except BaseException as exc:  # reported by the test thread
+                errors.append(exc)
+
+        walker = threading.Thread(target=walk, daemon=True)
+        walker.start()
+        walker.join(60)
+        gate.set()
+        assert not walker.is_alive(), "breaker walk hung"
+        assert not errors, errors
+        assert seen == [("open", 1), ("half-open", 1), ("closed", 0)]
+        assert family("ats_service_breaker_transitions_total") == {
+            (("state", "open"),): 1.0,
+            (("state", "half-open"),): 1.0,
+            (("state", "closed"),): 1.0,
+        }
+        assert service.status()["breakers"] == []
+        service.close()

@@ -80,6 +80,30 @@ def test_metrics_and_sweep_unknown_program(capsys):
         assert_clean_error(rc, err, "unknown property function 'nope'")
 
 
+@pytest.mark.parametrize("argv,needle", [
+    (["metrics", "nope"], "unknown property function 'nope'"),
+    (["metrics", "late_sender", "--size", "1"], "late_sender"),
+])
+def test_rejected_metrics_leaves_obs_as_it_was(capsys, argv, needle):
+    from repro.obs import (
+        metrics_enabled,
+        set_metrics_enabled,
+        set_spans_enabled,
+        spans_enabled,
+    )
+
+    before = (metrics_enabled(), spans_enabled())
+    set_metrics_enabled(False)
+    set_spans_enabled(False)
+    try:
+        rc, _, err = _run(capsys, *argv)
+        assert_clean_error(rc, err, needle)
+        assert (metrics_enabled(), spans_enabled()) == (False, False)
+    finally:
+        set_metrics_enabled(before[0])
+        set_spans_enabled(before[1])
+
+
 def test_run_unknown_distribution_suggests(capsys):
     rc, _, err = _run(
         capsys, "run", "imbalance_at_mpi_barrier", "--dist", "blok2"
