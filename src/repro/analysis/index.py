@@ -76,7 +76,11 @@ class TraceIndex(Sequence):
       first-recv order (internal collective traffic excluded),
     * ``collectives`` -- ``(comm_id, instance, op)`` -> participant
       ``CollExit`` events,
-    * ``locations`` -- sorted list of all locations seen.
+    * ``locations`` -- sorted list of all locations seen,
+    * ``features`` -- ``(total_time, matrix)`` once
+      :func:`repro.stats.detector.derive_features` has built this
+      trace's behavior matrix, so every statistical detector of one
+      analysis shares one feature build; ``None`` before.
     """
 
     __slots__ = (
@@ -87,6 +91,7 @@ class TraceIndex(Sequence):
         "p2p_pairs",
         "collectives",
         "locations",
+        "features",
     )
 
     def __init__(self, events: Iterable[Event]):
@@ -149,6 +154,7 @@ class TraceIndex(Sequence):
         ]
         self.collectives = collectives
         self.locations = sorted(by_location)
+        self.features = None
 
     # ------------------------------------------------------------------
     # derived views

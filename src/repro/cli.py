@@ -803,11 +803,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     """Similarity analysis of one trace: features, clusters, outliers."""
     import json
+    import math
 
     from .analysis import AnalysisConfig
     from .analysis.index import TraceIndex
     from .stats import SimilarityDetector, behavior_matrix, cluster_rows
 
+    if args.k < 1:
+        raise CliError(f"--k must be >= 1, got {args.k}")
+    if not math.isfinite(args.silhouette):
+        raise CliError(
+            f"--silhouette must be a finite number, got {args.silhouette}"
+        )
     if args.trace is not None:
         try:
             events, _ = read_trace(args.trace)

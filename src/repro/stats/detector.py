@@ -17,6 +17,13 @@ protocol, so they run through ``analyze()``, the archive's incremental
 cache (their fingerprints cover the delegated feature/similarity
 modules -- see ``fingerprint_modules``), the robustness harness and
 synth campaign scoring like any rule-based detector.
+
+Both start from one feature step, :func:`derive_features`, which keeps
+the behavior matrix on the shared :class:`TraceIndex`: an analysis
+derives it once, whichever detectors of the family it runs and in how
+many ``analyze_events`` calls over the same index.  The clustering is
+:func:`repro.stats.similarity.cluster_rows`, numpy over the matrix's
+distinct rows.
 """
 
 from __future__ import annotations
@@ -155,19 +162,24 @@ def grade_cell(
 def derive_features(
     events: Sequence[Event], total_time: Optional[float] = None
 ) -> FeatureMatrix:
-    """``behavior_matrix`` of ``events``, timed as one feature step.
+    """``behavior_matrix`` of ``events``, built once per trace index.
 
-    The step is bracketed by a ``stats:features`` span and counted
-    into the stats feature seconds and rows.  Both detectors and the
-    dataset export derive features here.  ``behavior_matrix`` is
-    called through this module's global, which perfbench's layer
-    probes rebind.
+    Given a :class:`TraceIndex`, the matrix is kept on the index (its
+    ``features`` slot, with the ``total_time`` it was built for), so
+    both statistical detectors of one analysis -- and the archive
+    cache's per-cell analyses over one index -- share one build.  A
+    plain event list is indexed and derived afresh (the dataset
+    export).  A build is bracketed by a ``stats:features`` span and
+    counted into the stats feature seconds and rows; a reuse is
+    neither.  ``behavior_matrix`` is called through this module's
+    global, which perfbench's layer probes rebind.
     """
-    index = (
-        events
-        if isinstance(events, TraceIndex)
-        else TraceIndex(list(events))
-    )
+    if isinstance(events, TraceIndex):
+        index = events
+        if index.features is not None and index.features[0] == total_time:
+            return index.features[1]
+    else:
+        index = TraceIndex(list(events))
     metrics = stats_metrics()
     with span("stats:features", cat="stats", rows=len(index.locations)):
         t0 = perf_counter() if metrics is not None else 0.0
@@ -175,6 +187,7 @@ def derive_features(
         if metrics is not None:
             metrics.feature_seconds.inc(perf_counter() - t0)
             metrics.feature_rows.inc(len(matrix))
+    index.features = (total_time, matrix)
     return matrix
 
 

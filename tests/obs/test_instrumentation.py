@@ -165,6 +165,55 @@ def test_cold_dataset_export_times_its_feature_step(tmp_path):
     assert feature_seconds["samples"][0]["value"] > 0.0
 
 
+def _feature_steps():
+    spans = [s for s in span_log() if s.name == "stats:features"]
+    rows = _sample(to_json(), "ats_stats_feature_rows_total")
+    return len(spans), rows["samples"][0]["value"]
+
+
+def test_both_family_analysis_derives_features_once(enabled):
+    from repro.stats import battery_for
+
+    run = get_property("late_sender").run(size=8, seed=0)
+    analyze_run(run, detectors=battery_for(("rule", "similarity")))
+    # both statistical detectors read one matrix of 8 rank rows
+    assert _feature_steps() == (1, 8)
+    assert len([s for s in span_log() if s.name == "stats:cluster"]) == 1
+
+
+def test_cold_archive_analyze_derives_features_once(
+    tmp_path, monkeypatch, enabled
+):
+    from repro.archive import Archive, CacheStats
+    from repro.stats import SIMILARITY_PROPERTY_IDS, battery_for
+    from repro.stats import detector as stats_detector
+
+    archive = Archive(tmp_path / "archive")
+    run = archive.archive_run(get_property("late_sender"), size=8, seed=0)
+    builds = []
+    real = stats_detector.behavior_matrix
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(stats_detector, "behavior_matrix", counted)
+    battery = battery_for(("rule", "similarity"))
+    cold = CacheStats()
+    result = archive.analyze(run, detectors=battery, stats=cold)
+    # every cell missed, so each detector ran in its own analyze_events
+    # over the one index; the two similarity cells shared one build
+    assert cold.misses == len(battery) + 1
+    assert len(builds) == 1
+    assert _feature_steps() == (1, 8)
+    assert set(SIMILARITY_PROPERTY_IDS) <= {
+        f.property for f in result.findings
+    }
+    warm = CacheStats()
+    assert archive.analyze(run, detectors=battery, stats=warm) == result
+    assert warm.misses == 0 and len(builds) == 1
+
+
 def test_disabled_run_records_nothing():
     set_metrics_enabled(False)
     set_spans_enabled(False)

@@ -1,4 +1,4 @@
-"""Stdlib clustering: k-medoids, single-link, silhouette."""
+"""Clustering: k-medoids, single-link, silhouette."""
 
 import pytest
 

@@ -275,6 +275,12 @@ def test_robustness_cli_rejects_bad_args(capsys):
     (["chain", "--size", "0"], "world size must be >= 1, got 0"),
     (["split", "--size", "1"], "split program needs an even size >= 4"),
     (["split", "--lower", "nope"], "unknown property function 'nope'"),
+    (["stats", "late_sender", "--k", "0"], "--k must be >= 1, got 0"),
+    (["stats", "late_sender", "--k", "-1"], "--k must be >= 1, got -1"),
+    (["stats", "late_sender", "--silhouette", "nan"],
+     "--silhouette must be a finite number, got nan"),
+    (["stats", "late_sender", "--silhouette", "inf"],
+     "--silhouette must be a finite number, got inf"),
 ])
 def test_bad_sizes_threads_and_lists_are_clean_errors(capsys, argv, needle):
     rc, _, err = _run(capsys, *argv)
